@@ -16,7 +16,7 @@ Core::Core(const CoreConfig &config, const Program *program,
       bp_(config.bp),
       prf_(config.numPhysRegs),
       rob_(config.robEntries),
-      rs_(config.rsEntries),
+      rs_(config.rsEntries, rob_),
       sq_(config.sqEntries),
       ports_(config.issueWidth, config.memPorts),
       runaheadCtrl_(config.runahead),

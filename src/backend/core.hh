@@ -69,7 +69,7 @@ struct CoreConfig
     bool fastForward = true;
 
     /** Route Rob::findOldestByPc / findProducer through the retained
-     *  linear-scan reference paths instead of the incremental indexes
+     *  linear-scan reference paths instead of the on-demand indexes
      *  (see Rob::setIndexed). Certified behaviour-preserving by
      *  tests/test_rob_index.cc; enable for differential debugging. */
     bool referenceScans = false;
@@ -232,7 +232,7 @@ class Core
 
     /** Write @p reg and wake reservation-station entries waiting on
      *  it. Every PhysRegFile::write() in the core goes through here so
-     *  the event-driven wakeup list stays exact. */
+     *  the event-driven wait masks stay exact. */
     void writePhysReg(PhysReg reg, std::uint64_t value, bool poisoned,
                       bool off_chip);
 

@@ -1,30 +1,26 @@
 #include "backend/reservation_station.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace rab
 {
 
-ReservationStation::ReservationStation(int capacity)
-    : capacity_(capacity)
+ReservationStation::ReservationStation(int capacity, const Rob &rob)
+    : capacity_(capacity), rob_(rob),
+      words_((rob.capacity() + kWordBits - 1) / kWordBits)
 {
     if (capacity <= 0)
         fatal("ReservationStation: bad capacity %d", capacity);
-    entries_.assign(capacity, Entry{});
-    freeSlots_.reserve(capacity);
-    for (int i = capacity - 1; i >= 0; --i)
-        freeSlots_.push_back(i);
-    readyList_.reserve(capacity);
+    entries_.assign(rob.capacity(), Entry{});
+    levels_.assign(std::size_t(kLevels) * words_, 0);
 }
 
 void
-ReservationStation::registerWait(PhysReg reg, int idx)
+ReservationStation::growWaitMasks(PhysReg reg)
 {
-    if (reg >= waiters_.size())
-        waiters_.resize(reg + 1);
-    waiters_[reg].push_back(idx);
+    waitMasks_.resize((static_cast<std::size_t>(reg) + 1) * words_, 0);
 }
 
 void
@@ -33,22 +29,23 @@ ReservationStation::insert(int rob_slot, SeqNum seq, PhysReg src1,
 {
     if (full())
         panic("ReservationStation: insert when full");
-    const int idx = freeSlots_.back();
-    freeSlots_.pop_back();
-    Entry &e = entries_[idx];
-    e.valid = true;
-    e.robSlot = rob_slot;
+    if (residentWord(rob_slot / kWordBits)
+        & (Word{1} << (rob_slot % kWordBits))) {
+        panic("ReservationStation: ROB slot %d already resident", rob_slot);
+    }
+    Entry &e = entries_[rob_slot];
     e.seq = seq;
     e.src1 = src1;
     e.src2 = src2;
-    e.wait1 = src1 != kNoPhysReg && !prf.ready(src1);
-    e.wait2 = src2 != kNoPhysReg && !prf.ready(src2);
-    if (e.wait1)
-        registerWait(src1, idx);
-    if (e.wait2)
-        registerWait(src2, idx);
-    if (!e.wait1 && !e.wait2)
-        readyList_.push_back(idx);
+    const bool wait1 = src1 != kNoPhysReg && !prf.ready(src1);
+    const bool wait2 = src2 != kNoPhysReg && !prf.ready(src2);
+    if (wait1)
+        setBit(waitMask(src1), rob_slot);
+    if (wait2)
+        setBit(waitMask(src2), rob_slot);
+    // Distinct pending registers: src1 == src2 waits on one bit.
+    const int pending = int(wait1) + int(wait2 && !(wait1 && src1 == src2));
+    setBit(level(pending), rob_slot);
     ++size_;
     ++inserts;
 }
@@ -56,139 +53,126 @@ ReservationStation::insert(int rob_slot, SeqNum seq, PhysReg src1,
 void
 ReservationStation::notifyWritten(PhysReg reg)
 {
-    if (reg >= waiters_.size())
+    const std::size_t base = static_cast<std::size_t>(reg) * words_;
+    if (base >= waitMasks_.size())
         return;
-    std::vector<int> &list = waiters_[reg];
-    if (list.empty())
-        return;
-    for (const int idx : list) {
-        Entry &e = entries_[idx];
-        // Guards make stale registrations harmless: the entry may have
-        // left the window (or its slot been reused) since it enlisted.
-        if (!e.valid)
-            continue;
-        bool cleared = false;
-        if (e.wait1 && e.src1 == reg) {
-            e.wait1 = false;
-            cleared = true;
-        }
-        if (e.wait2 && e.src2 == reg) {
-            e.wait2 = false;
-            cleared = true;
-        }
-        // `cleared` keeps duplicate registrations (src1 == src2, or a
-        // reused slot re-enlisting on the same register) from pushing
-        // the entry twice.
-        if (cleared && !e.wait1 && !e.wait2)
-            readyList_.push_back(idx);
+    // Every waiter of the register loses one pending source: level 1
+    // becomes ready, level 2 drops to level 1, and the mask drains.
+    Word *mask = &waitMasks_[base];
+    Word *ready = level(0);
+    Word *one = level(1);
+    Word *two = level(2);
+    for (int w = 0; w < words_; ++w) {
+        const Word m = mask[w];
+        mask[w] = 0;
+        ready[w] |= one[w] & m;
+        one[w] = (one[w] & ~m) | (two[w] & m);
+        two[w] &= ~m;
     }
-    list.clear();
 }
 
 const std::vector<int> &
 ReservationStation::selectReady(int width)
 {
-    if (width > kMaxSelectWidth)
-        panic("ReservationStation: select width %d > %d", width,
-              kMaxSelectWidth);
-
     // One wakeup (source-ready check) per resident entry per cycle:
     // the energy model charges the CAM broadcast whether or not the
-    // event-driven ready list short-circuits the actual comparison.
+    // event-driven ready mask short-circuits the actual comparison.
     wakeups += static_cast<std::uint64_t>(size_);
 
     selectedBuf_.clear();
-    if (readyList_.empty())
-        return selectedBuf_;
-
-    // Bounded insertion sort over the ready list: keep the `width`
-    // oldest ready entries, ascending by seq. The ready list is the
-    // exact ready set (see the wakeup invariant in the header), so
-    // this selects the same uops a full scan would.
-    int best[kMaxSelectWidth];
-    int nbest = 0;
-    for (const int idx : readyList_) {
-        const Entry &e = entries_[idx];
-        if (nbest == width && entries_[best[nbest - 1]].seq < e.seq)
-            continue; // Younger than every kept entry.
-        // Shift larger seqs up (discarding the current maximum when
-        // already at width) and slot this entry in seq order.
-        int pos = nbest < width ? nbest : nbest - 1;
-        while (pos > 0 && entries_[best[pos - 1]].seq > e.seq) {
-            best[pos] = best[pos - 1];
-            --pos;
+    Word *ready = level(0);
+    int taken = 0;
+    // Walk the ring from the ROB head: the head word from the head bit
+    // up, the words after it (wrapping), then the head word's bits
+    // below the head. Live slots in this order are in seq order, so
+    // the first `width` ready bits are the oldest ready entries — the
+    // same uops a seq-sorted scan would pick.
+    const int head = rob_.headSlot();
+    const Word from_head = ~Word{0} << (head % kWordBits);
+    int w = head / kWordBits;
+    Word allowed = from_head;
+    for (int step = 0; step <= words_ && taken < width; ++step) {
+        Word bits = ready[w] & allowed;
+        while (bits != 0 && taken < width) {
+            const int bit = std::countr_zero(bits);
+            bits &= bits - 1;
+            ready[w] &= ~(Word{1} << bit);
+            selectedBuf_.push_back(w * kWordBits + bit);
+            ++taken;
         }
-        best[pos] = idx;
-        if (nbest < width)
-            ++nbest;
+        if (++w == words_)
+            w = 0;
+        allowed = step + 1 == words_ ? ~from_head : ~Word{0};
     }
 
-    for (int i = 0; i < nbest; ++i) {
-        Entry &e = entries_[best[i]];
-        selectedBuf_.push_back(e.robSlot);
-        e.valid = false;
-        freeSlots_.push_back(best[i]);
-        --size_;
-    }
-    compactReadyList();
+    size_ -= taken;
     return selectedBuf_;
 }
 
 bool
-ReservationStation::anyReady(const Rob &rob, const PhysRegFile &prf) const
+ReservationStation::hasReady() const
 {
-    for (const Entry &e : entries_) {
-        if (!e.valid)
-            continue;
-        const DynUop &uop = rob.slot(e.robSlot);
-        const bool s1_ok =
-            uop.psrc1 == kNoPhysReg || prf.ready(uop.psrc1);
-        const bool s2_ok =
-            uop.psrc2 == kNoPhysReg || prf.ready(uop.psrc2);
-        if (s1_ok && s2_ok)
+    for (int w = 0; w < words_; ++w) {
+        if (levels_[w] != 0)
             return true;
     }
     return false;
 }
 
-void
-ReservationStation::compactReadyList()
+bool
+ReservationStation::anyReady(const Rob &rob, const PhysRegFile &prf) const
 {
-    readyList_.erase(
-        std::remove_if(readyList_.begin(), readyList_.end(),
-                       [this](int idx) { return !entries_[idx].valid; }),
-        readyList_.end());
+    for (int w = 0; w < words_; ++w) {
+        for (Word bits = residentWord(w); bits != 0; bits &= bits - 1) {
+            const int slot = w * kWordBits + std::countr_zero(bits);
+            const DynUop &uop = rob.slot(slot);
+            const bool s1_ok = uop.psrc1 == kNoPhysReg || prf.ready(uop.psrc1);
+            const bool s2_ok = uop.psrc2 == kNoPhysReg || prf.ready(uop.psrc2);
+            if (s1_ok && s2_ok)
+                return true;
+        }
+    }
+    return false;
+}
+
+void
+ReservationStation::remove(int slot)
+{
+    // A source's wait bit for this slot is set exactly while the entry
+    // still waits on it, and no other entry can own it, so clearing
+    // both unconditionally is exact.
+    const Entry &e = entries_[slot];
+    for (const PhysReg src : {e.src1, e.src2}) {
+        const std::size_t base = static_cast<std::size_t>(src) * words_;
+        if (src != kNoPhysReg && base < waitMasks_.size())
+            clearBit(&waitMasks_[base], slot);
+    }
+    for (int k = 0; k < kLevels; ++k)
+        clearBit(level(k), slot);
+    --size_;
 }
 
 void
 ReservationStation::squashAfter(SeqNum seq)
 {
-    const int n = static_cast<int>(entries_.size());
-    int removed = 0;
-    for (int idx = 0; idx < n; ++idx) {
-        Entry &e = entries_[idx];
-        if (e.valid && e.seq > seq) {
-            e.valid = false;
-            freeSlots_.push_back(idx);
-            --size_;
-            ++removed;
+    for (int w = 0; w < words_ && size_ > 0; ++w) {
+        for (Word bits = residentWord(w); bits != 0; bits &= bits - 1) {
+            const int slot = w * kWordBits + std::countr_zero(bits);
+            if (entries_[slot].seq > seq)
+                remove(slot);
         }
     }
-    if (removed > 0)
-        compactReadyList();
 }
 
 void
 ReservationStation::clear()
 {
-    entries_.assign(capacity_, Entry{});
-    size_ = 0;
-    freeSlots_.clear();
-    for (int i = capacity_ - 1; i >= 0; --i)
-        freeSlots_.push_back(i);
-    readyList_.clear();
-    for (std::vector<int> &w : waiters_)
-        w.clear();
+    // Clear only the bits the resident entries own: the wait-mask
+    // table is several KB and clear() runs at every runahead exit.
+    for (int w = 0; w < words_ && size_ > 0; ++w) {
+        for (Word bits = residentWord(w); bits != 0; bits &= bits - 1)
+            remove(w * kWordBits + std::countr_zero(bits));
+    }
 }
 
 } // namespace rab

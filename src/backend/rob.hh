@@ -5,13 +5,14 @@
  * Slots are *physical* indices that stay stable while an entry is live,
  * so the RS, store queue and writeback queue can reference entries
  * safely across head pops. The runahead buffer's dependence-chain
- * generator searches the ROB with PC and destination-register CAMs;
- * the hardware CAMs are modelled here as intrusive, age-ordered linked
- * lists threaded through the slots — one list per PC and one per
- * architectural destination register — maintained incrementally on
- * push / popHead / popTail / clear. findOldestByPc and findProducer
- * walk only the matching key's list (O(1) amortized) instead of the
- * whole window; the original linear scans are retained as
+ * generator searches the ROB with PC and destination-register CAMs.
+ * Those searches come in bursts at runahead entry (decideEntry and
+ * ChainGenerator::generate) while the window mutates every cycle, so
+ * the CAMs are built on demand: push / popHead / popTail / clear only
+ * mark them stale, and the first findOldestByPc / findProducer after
+ * a mutation builds both in one pass over the live window — age-ordered
+ * slot lists per PC and per architectural destination register, which
+ * the lookups then walk. The original linear scans are retained as
  * findOldestByPcScan / findProducerScan and cross-validated against
  * the indexed forms by the invariant checker (checkRobIndexes), the
  * same pattern the reservation station uses for hasReady/anyReady.
@@ -23,6 +24,7 @@
 #define RAB_BACKEND_ROB_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "backend/dyn_uop.hh"
@@ -49,8 +51,8 @@ class Rob
 
     /** @{ In-place push, for the rename hot path: beginPush() resets
      *  and returns the tail entry for the caller to fill directly (no
-     *  intermediate DynUop copy); finishPush() makes it live and
-     *  indexes it once seq / pc / sop are set. Abandoning a begun push
+     *  intermediate DynUop copy); finishPush() makes it live once
+     *  seq / pc / sop are set. Abandoning a begun push
      *  (never calling finishPush) is allowed — the slot stays dead. */
     DynUop &beginPush();
     int finishPush();
@@ -101,7 +103,9 @@ class Rob
                         : findProducerScan(reg, before_seq);
     }
 
-    /** @{ Indexed CAM analogues: walk the per-key age-ordered list. */
+    /** @{ Indexed CAM analogues: walk the per-key age-ordered list,
+     *  building the lists first if the window changed since the last
+     *  query. */
     int findOldestByPcIndexed(Pc pc, SeqNum after_seq) const;
     int findProducerIndexed(ArchReg reg, SeqNum before_seq) const;
     /** @} */
@@ -115,36 +119,22 @@ class Rob
 
     /** Select the scan-based reference paths for findOldestByPc /
      *  findProducer (differential certification; default indexed). The
-     *  indexes stay maintained either way. */
+     *  indexed forms stay callable either way. */
     void setIndexed(bool indexed) { indexed_ = indexed; }
     bool indexed() const { return indexed_; }
 
     void clear();
 
   private:
-    /** Intrusive doubly-linked list node threaded through a slot. */
-    struct SlotLinks
-    {
-        int prev = -1;
-        int next = -1;
-    };
-
-    /** Ends of one key's age-ordered list (front = oldest). */
-    struct ListEnds
-    {
-        int front = -1;
-        int back = -1;
-    };
-
-    /** One cell of the flat PC table. */
+    /** One cell of the flat PC table: the ends of one PC's
+     *  age-ordered slot list (front = oldest). */
     struct PcCell
     {
         Pc pc = 0;
-        ListEnds ends;
-        bool used = false;
+        int front = -1;
+        int back = -1;
+        std::uint32_t stamp = 0; ///< Build that filled the cell.
     };
-
-    bool liveSlot(int phys_slot) const;
 
     /** Wrap @p unwrapped (a head_ + offset sum, offset <= capacity_)
      *  into [0, capacity_) — capacity is not a power of two, so a
@@ -155,22 +145,22 @@ class Rob
                                       : unwrapped;
     }
 
-    /** @{ Index maintenance (see file comment). */
-    void indexInsert(int slot);
-    void indexRemove(int slot);
-    static void listAppend(ListEnds &ends, std::vector<SlotLinks> &links,
-                           int slot);
-    static void listRemove(ListEnds &ends, std::vector<SlotLinks> &links,
-                           int slot);
-    /** @} */
+    /** Build the CAM lists if a mutation made them stale. */
+    void ensureCams() const
+    {
+        if (!camsValid_)
+            buildCams();
+    }
+    /** Rebuild both CAMs in one pass over the live window. */
+    void buildCams() const;
 
-    /** @{ Flat PC table: open addressing with linear probing. Keys are
-     *  never erased (their lists are just emptied), so probing needs no
-     *  tombstones; see pcCells_. */
+    /** @{ Flat PC table: open addressing with linear probing. A cell
+     *  whose stamp is not the current build's is empty, so a rebuild
+     *  starts from an empty table without touching it. */
     static std::size_t pcHash(Pc pc);
-    int pcFind(Pc pc) const;   ///< Cell index, -1 when absent.
-    int pcFindOrInsert(Pc pc); ///< Cell index; may grow the table.
-    void pcGrow();
+    /** Index of @p pc's cell in the current build, or of the empty
+     *  cell where it would go. */
+    std::size_t pcProbe(Pc pc) const;
     /** @} */
 
     int capacity_;
@@ -178,28 +168,24 @@ class Rob
     int size_ = 0;
     bool indexed_ = true;
     std::vector<DynUop> entries_;
-    std::vector<bool> live_;
+    std::vector<std::uint8_t> live_; ///< Bytes, not vector<bool> bits:
+                                     ///< slot() reads it per access.
 
-    /** @{ PC multimap analogue: per-PC age-ordered slot list. The
-     *  key → list-ends lookup is a flat power-of-two open-addressing
-     *  hash table (std::unordered_map's bucket chasing dominated the
-     *  rename profile). Cells persist once created (emptied, never
-     *  erased) so steady state allocates nothing and probe chains have
-     *  no tombstones; the key population is bounded by the program's
-     *  static uop count. pcCellOf_ caches each live slot's cell index
-     *  so popHead/popTail/clear never rehash the PC. */
-    std::vector<PcCell> pcCells_;
-    std::size_t pcMask_ = 0; ///< pcCells_.size() - 1.
-    std::size_t pcUsed_ = 0; ///< Distinct PCs resident in the table.
-    std::vector<int> pcCellOf_;
-    std::vector<SlotLinks> pcLinks_;
-    /** @} */
-
-    /** @{ Producer index: per-architectural-destination-register
-     *  age-ordered slot list (kNoArchReg destinations are unindexed —
-     *  no chain-generation query ever asks for them). */
-    std::vector<ListEnds> regIndex_; ///< kNumArchRegs entries.
-    std::vector<SlotLinks> regLinks_;
+    /** @{ On-demand CAMs (see file comment): derived state, rebuilt
+     *  from entries_ and never serialized. */
+    mutable bool camsValid_ = false;
+    mutable std::uint32_t camStamp_ = 0; ///< Current build's stamp.
+    /** PC → age-ordered slot list. At most capacity_ distinct PCs per
+     *  build in a table of at least 2 x capacity_ cells, so the load
+     *  stays at or below 50% and the table never grows. */
+    mutable std::vector<PcCell> pcCells_;
+    std::size_t pcMask_ = 0;           ///< pcCells_.size() - 1.
+    mutable std::vector<int> pcNext_;  ///< Next-younger slot, same PC.
+    /** Per architectural destination register: youngest slot writing
+     *  it (kNoArchReg destinations are unindexed — no chain-generation
+     *  query ever asks for them). */
+    mutable std::vector<int> regBack_;
+    mutable std::vector<int> regPrev_; ///< Next-older slot, same dest.
     /** @} */
 };
 

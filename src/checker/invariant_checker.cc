@@ -375,7 +375,7 @@ InvariantChecker::checkRobIndexes()
         return;
     const Rob &rob = *ctx_.rob;
 
-    // Cross-validate the incremental PC / producer indexes against the
+    // Cross-validate the on-demand PC / producer indexes against the
     // retained linear scans (the RS hasReady/anyReady pattern): for
     // every live entry, the indexed PC CAM queried just below its seq
     // must return that entry, and the producer CAM must agree with the

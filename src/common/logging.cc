@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 namespace rab
@@ -11,6 +12,8 @@ namespace
 {
 
 bool verboseEnabled = true;
+
+thread_local std::string logTag;
 
 std::string
 vstrprintf(const char *fmt, va_list args)
@@ -26,7 +29,30 @@ vstrprintf(const char *fmt, va_list args)
     return std::string(buf.data(), static_cast<std::size_t>(len));
 }
 
+/** Write one diagnostic line: flush stdout first so the two streams
+ *  interleave in program order, then prefix the thread's tag. */
+void
+emit(const char *kind, const std::string &msg)
+{
+    std::fflush(stdout);
+    if (logTag.empty())
+        std::fprintf(stderr, "%s: %s\n", kind, msg.c_str());
+    else
+        std::fprintf(stderr, "%s: [%s] %s\n", kind, logTag.c_str(),
+                     msg.c_str());
+}
+
 } // namespace
+
+LogContext::LogContext(std::string tag) : previous_(std::move(logTag))
+{
+    logTag = std::move(tag);
+}
+
+LogContext::~LogContext()
+{
+    logTag = std::move(previous_);
+}
 
 void
 panic(const char *fmt, ...)
@@ -35,7 +61,7 @@ panic(const char *fmt, ...)
     va_start(args, fmt);
     const std::string msg = vstrprintf(fmt, args);
     va_end(args);
-    std::fprintf(stderr, "panic: %s\n", msg.c_str());
+    emit("panic", msg);
     std::abort();
 }
 
@@ -46,7 +72,7 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     const std::string msg = vstrprintf(fmt, args);
     va_end(args);
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
+    emit("fatal", msg);
     std::exit(1);
 }
 
@@ -57,7 +83,7 @@ warn(const char *fmt, ...)
     va_start(args, fmt);
     const std::string msg = vstrprintf(fmt, args);
     va_end(args);
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    emit("warn", msg);
 }
 
 void
@@ -69,7 +95,7 @@ inform(const char *fmt, ...)
     va_start(args, fmt);
     const std::string msg = vstrprintf(fmt, args);
     va_end(args);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
+    emit("info", msg);
 }
 
 void

@@ -2,6 +2,12 @@
  * @file
  * Minimal gem5-style logging: panic() for simulator bugs, fatal() for
  * user configuration errors, warn()/inform() for status messages.
+ *
+ * Every diagnostic goes to stderr after flushing stdout, so when both
+ * streams land in one file a message appears after the results that
+ * preceded it rather than ahead of stdout's whole buffer. A diagnostic
+ * raised while a LogContext is active on the calling thread carries
+ * its tag: "warn: [mcf/hybrid] ...".
  */
 
 #ifndef RAB_COMMON_LOGGING_HH
@@ -27,6 +33,24 @@ void inform(const char *fmt, ...);
 
 /** Toggle inform() output (benchmarks silence it). */
 void setVerbose(bool verbose);
+
+/**
+ * Scoped, thread-local diagnostic tag (for example "mcf/hybrid" for
+ * one simulation run). Scopes nest; destruction restores the previous
+ * tag. Thread-local, so concurrent sweep workers each keep their own.
+ */
+class LogContext
+{
+  public:
+    explicit LogContext(std::string tag);
+    ~LogContext();
+
+    LogContext(const LogContext &) = delete;
+    LogContext &operator=(const LogContext &) = delete;
+
+  private:
+    std::string previous_;
+};
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...);

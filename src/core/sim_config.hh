@@ -51,7 +51,7 @@ struct SimConfig
     bool fastForward = true;
 
     /** Use the ROB's scan-based reference CAM searches instead of the
-     *  incremental indexes (behaviour-preserving; see Rob::setIndexed).
+     *  on-demand indexes (behaviour-preserving; see Rob::setIndexed).
      *  For differential certification and debugging. */
     bool referenceScans = false;
 

@@ -63,6 +63,14 @@ Simulation::run()
     return runMeasured();
 }
 
+std::string
+Simulation::logTag() const
+{
+    return strprintf("%s/%s%s", program_.name().c_str(),
+                     runaheadConfigName(config_.runahead),
+                     config_.prefetch ? "+PF" : "");
+}
+
 void
 Simulation::runWarmup()
 {
@@ -70,6 +78,7 @@ Simulation::runWarmup()
     // prefetcher; then reset every counter so the measured region is
     // clean.
     if (config_.warmupInstructions > 0) {
+        const LogContext log_context(logTag());
         core_->run(config_.warmupInstructions, config_.maxCycles);
         core_->stats().resetCounters();
         mem_->stats().resetCounters();
@@ -85,6 +94,7 @@ Simulation::enableTrace(const std::string &path)
 SimResult
 Simulation::runMeasured()
 {
+    const LogContext log_context(logTag());
     std::unique_ptr<TraceWriter> trace;
     if (!tracePath_.empty()) {
         trace = std::make_unique<TraceWriter>(tracePath_);

@@ -113,6 +113,11 @@ class Simulation
     FaultInjector *faults() { return faults_.get(); }
 
   private:
+    /** Diagnostic tag of this run ("mcf/hybrid", "+PF" when the
+     *  prefetcher is on): warnings raised inside runWarmup() and
+     *  runMeasured() carry it (see LogContext). */
+    std::string logTag() const;
+
     SimConfig config_;
     Program program_;
     std::unique_ptr<FaultInjector> faults_;

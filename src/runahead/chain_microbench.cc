@@ -119,8 +119,7 @@ runChainGenMicrobench(int rob_entries, int iterations)
 
     ChainGenMicrobench result;
     result.robEntries = rob_entries;
-    // Warm both paths (map population, branch predictors) before
-    // timing.
+    // Warm both paths (CAM build, branch predictors) before timing.
     timeVariant(rob, sq, true, std::max(8, iterations / 16), nullptr);
     timeVariant(rob, sq, false, std::max(8, iterations / 16), nullptr);
     result.indexed =

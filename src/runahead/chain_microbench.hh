@@ -4,12 +4,14 @@
  *
  * Times ChainGenerator::generate() against a full, realistically
  * structured ROB (a pointer-chasing loop body repeated to capacity)
- * twice: once through the incremental PC/producer indexes and once
- * through the retained linear-scan reference paths, and reports the
- * per-call latency distribution of each. Shared between the
- * bench_chain_generation binary (human-readable table) and rabsweep,
- * which embeds the result in the sweep manifest's environment section
- * so every campaign records the indexing speedup it ran with.
+ * twice: once through the on-demand PC/producer CAMs (built by the
+ * first call; the ROB does not change between calls, so the timed
+ * calls only query them) and once through the retained linear-scan
+ * reference paths, and reports the per-call latency distribution of
+ * each. Shared between the bench_chain_generation binary
+ * (human-readable table) and rabsweep, which embeds the result in the
+ * sweep manifest's environment section so every campaign records the
+ * indexing speedup it ran with.
  */
 
 #ifndef RAB_RUNAHEAD_CHAIN_MICROBENCH_HH
@@ -37,7 +39,7 @@ struct ChainGenLatencyDist
 /** The full before/after comparison. */
 struct ChainGenMicrobench
 {
-    ChainGenLatencyDist indexed; ///< Incremental CAM indexes (default).
+    ChainGenLatencyDist indexed; ///< On-demand CAM indexes (default).
     ChainGenLatencyDist scan;    ///< Linear-scan reference paths.
     double speedup = 0;          ///< scan.meanNs / indexed.meanNs.
     int robEntries = 0;

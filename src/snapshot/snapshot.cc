@@ -239,29 +239,21 @@ template <class Ar>
 void
 SnapshotAccess::io(Ar &ar, Rob &v)
 {
-    const auto io_ends = [](Ar &a, auto &ends) {
-        field(a, ends.front);
-        field(a, ends.back);
-    };
-    const auto io_links = [](Ar &a, auto &l) {
-        field(a, l.prev);
-        field(a, l.next);
-    };
     field(ar, v.head_);
     field(ar, v.size_);
     field(ar, v.entries_); // Whole ring, dead slots included: exact.
     field(ar, v.live_);
-    fieldSeq(ar, v.pcCells_, [&](Ar &a, auto &c) {
-        field(a, c.pc);
-        io_ends(a, c.ends);
-        field(a, c.used);
-    });
-    field(ar, v.pcMask_);
-    field(ar, v.pcUsed_);
-    field(ar, v.pcCellOf_);
-    fieldSeq(ar, v.pcLinks_, io_links);
-    fieldSeq(ar, v.regIndex_, io_ends);
-    fieldSeq(ar, v.regLinks_, io_links);
+    if constexpr (Ar::kIsLoad) {
+        if (v.entries_.size() != std::size_t(v.capacity_)
+            || v.live_.size() != std::size_t(v.capacity_)
+            || v.head_ < 0 || v.head_ >= v.capacity_ || v.size_ < 0
+            || v.size_ > v.capacity_) {
+            throw SnapshotError(SnapshotErrorKind::kFormat,
+                                "ROB ring does not match its capacity");
+        }
+        // The CAMs are derived from the ring and rebuilt on demand.
+        v.camsValid_ = false;
+    }
 }
 
 template <class Ar>
@@ -270,20 +262,24 @@ SnapshotAccess::io(Ar &ar, ReservationStation &v)
 {
     field(ar, v.size_);
     fieldSeq(ar, v.entries_, [](Ar &a, auto &e) {
-        field(a, e.valid);
-        field(a, e.wait1);
-        field(a, e.wait2);
-        field(a, e.robSlot);
         field(a, e.seq);
         field(a, e.src1);
         field(a, e.src2);
     });
-    field(ar, v.freeSlots_);
-    field(ar, v.readyList_);
-    field(ar, v.waiters_); // Exact, stale entries included: the drain
-                           // order of a wakeup list is visible.
+    field(ar, v.levels_);
+    field(ar, v.waitMasks_);
     io(ar, v.inserts);
     io(ar, v.wakeups);
+    if constexpr (Ar::kIsLoad) {
+        const std::size_t words = std::size_t(v.words_);
+        if (v.entries_.size() != std::size_t(v.rob_.capacity())
+            || v.levels_.size() != ReservationStation::kLevels * words
+            || v.waitMasks_.size() % words != 0) {
+            throw SnapshotError(SnapshotErrorKind::kFormat,
+                                "reservation-station masks do not match "
+                                "the ROB capacity");
+        }
+    }
 }
 
 template <class Ar>
@@ -1239,6 +1235,25 @@ std::string
 snapshotHashHex(std::uint64_t hash)
 {
     return strprintf("%016llx", (unsigned long long)hash);
+}
+
+std::string
+captureRobState(Rob &rob)
+{
+    SnapshotWriter w;
+    SnapshotAccess::io(w, rob);
+    return w.take();
+}
+
+void
+restoreRobState(Rob &rob, const std::string &payload)
+{
+    SnapshotReader r(payload);
+    SnapshotAccess::io(r, rob);
+    if (r.remaining() != 0) {
+        throw SnapshotError(SnapshotErrorKind::kFormat,
+                            "trailing bytes after the ROB state");
+    }
 }
 
 std::string

@@ -36,11 +36,12 @@
 namespace rab
 {
 
+class Rob;
 class Simulation;
 struct SimConfig;
 
 /** Snapshot payload format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /** How a snapshot is applied to a simulation. */
 enum class SnapshotRestoreMode
@@ -74,6 +75,14 @@ std::string captureSnapshot(Simulation &sim);
  *  be partially overwritten). */
 void restoreSnapshot(Simulation &sim, const std::string &payload,
                      SnapshotRestoreMode mode);
+
+/** @{ Round-trip one ROB through its CORE-section serializer alone,
+ *  for component tests that restore a ROB without a simulation. The
+ *  payload has no frame, header or checksum; restoring throws
+ *  SnapshotError on a short, long or malformed payload. */
+std::string captureRobState(Rob &rob);
+void restoreRobState(Rob &rob, const std::string &payload);
+/** @} */
 
 /** Parse the META section without touching a simulation. */
 SnapshotMeta peekSnapshotMeta(const std::string &payload);

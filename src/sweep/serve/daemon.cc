@@ -112,6 +112,18 @@ struct Job
 
 struct Client
 {
+    /** The wake pipe closes with the last owner, not when the client
+     *  thread exits: workers and drainAndWait() still write wake bytes
+     *  through their shared_ptr copies, and a closed descriptor number
+     *  can be reused by an unrelated open in the meantime. */
+    ~Client()
+    {
+        if (wakeRx >= 0)
+            ::close(wakeRx);
+        if (wakeTx >= 0)
+            ::close(wakeTx);
+    }
+
     std::uint64_t id = 0;
     int fd = -1;
     int wakeRx = -1; ///< Worker-to-client wake pipe (read end).
@@ -593,8 +605,6 @@ struct Daemon::Impl
         }
         client->dead = true;
         ::close(client->fd);
-        ::close(client->wakeRx);
-        ::close(client->wakeTx);
         client->finished = true;
     }
 
@@ -719,13 +729,26 @@ struct Daemon::Impl
         return true;
     }
 
+    /** Stop accepting and wake every worker. The flag flips under the
+     *  scheduler mutex: a worker that has just found the wait
+     *  predicate false still holds the mutex until it blocks, so the
+     *  notify cannot slip in between and leave it asleep for good. */
+    void
+    beginDrain()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            draining = true;
+        }
+        cv.notify_all();
+    }
+
     void
     drainAndWait()
     {
         if (!started)
             return;
-        draining = true;
-        cv.notify_all();
+        beginDrain();
         if (acceptor.joinable())
             acceptor.join();
         // Workers finish their in-flight point, record it, then exit.
@@ -817,8 +840,7 @@ Daemon::error() const
 void
 Daemon::requestDrain()
 {
-    impl_->draining = true;
-    impl_->cv.notify_all();
+    impl_->beginDrain();
 }
 
 void

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "backend/lsq.hh"
 #include "backend/rename.hh"
 #include "backend/reservation_station.hh"
 #include "backend/rob.hh"
+#include "common/rng.hh"
 
 namespace rab
 {
@@ -198,7 +203,7 @@ TEST(ReservationStation, SelectsOnlyReady)
     const int slot_a = rob.push(std::move(a));
     const int slot_b = rob.push(std::move(b));
 
-    ReservationStation rs(4);
+    ReservationStation rs(4, rob);
     rs.insert(slot_a, 1, ready_reg, kNoPhysReg, prf);
     rs.insert(slot_b, 2, pending_reg, kNoPhysReg, prf);
     const auto selected = rs.selectReady(4);
@@ -217,7 +222,7 @@ TEST(ReservationStation, WakeupOnWrite)
     a.psrc1 = src;
     const int slot = rob.push(std::move(a));
 
-    ReservationStation rs(4);
+    ReservationStation rs(4, rob);
     rs.insert(slot, 1, src, kNoPhysReg, prf);
     EXPECT_FALSE(rs.hasReady());
     EXPECT_FALSE(rs.anyReady(rob, prf));
@@ -235,8 +240,8 @@ TEST(ReservationStation, WakeupOnWrite)
 
 TEST(ReservationStation, WakeupBothSourcesSameRegister)
 {
-    // src1 == src2: the entry enlists twice on the same register but
-    // must wake exactly once and stay selectable exactly once.
+    // src1 == src2: one pending register, so the entry must wake on
+    // its single write and stay selectable exactly once.
     Rob rob(8);
     PhysRegFile prf(64);
     const PhysReg src = prf.alloc(); // not ready
@@ -246,7 +251,7 @@ TEST(ReservationStation, WakeupBothSourcesSameRegister)
     a.psrc2 = src;
     const int slot = rob.push(std::move(a));
 
-    ReservationStation rs(4);
+    ReservationStation rs(4, rob);
     rs.insert(slot, 1, src, src, prf);
     EXPECT_FALSE(rs.hasReady());
 
@@ -263,7 +268,7 @@ TEST(ReservationStation, OldestFirstWithinWidth)
 {
     Rob rob(8);
     PhysRegFile prf(64);
-    ReservationStation rs(8);
+    ReservationStation rs(8, rob);
     std::vector<int> slots;
     for (SeqNum s = 1; s <= 4; ++s) {
         slots.push_back(rob.push(makeUop(s, s)));
@@ -279,22 +284,22 @@ TEST(ReservationStation, SquashAfterRemovesYounger)
 {
     Rob rob(8);
     PhysRegFile prf(64);
-    ReservationStation rs(8);
+    ReservationStation rs(8, rob);
     for (SeqNum s = 1; s <= 4; ++s)
         rs.insert(rob.push(makeUop(s, s)), s, kNoPhysReg, kNoPhysReg,
                   prf);
     rs.squashAfter(2);
     EXPECT_EQ(rs.size(), 2);
-    // Squashed entries must also leave the ready list: only the two
+    // Squashed entries must also leave the ready mask: only the two
     // surviving (source-less, hence ready) entries may issue.
     EXPECT_EQ(rs.selectReady(8).size(), 2u);
 }
 
 TEST(ReservationStation, StaleWakeupAfterSquashIsHarmless)
 {
-    // An entry squashed while waiting leaves a stale registration in
-    // the register's wakeup list; a later write must not revive it or
-    // corrupt the ready list.
+    // An entry squashed while waiting must give up its wait bit; a
+    // later write of the register must not revive it or corrupt the
+    // ready mask.
     Rob rob(8);
     PhysRegFile prf(64);
     const PhysReg src = prf.alloc(); // not ready
@@ -303,7 +308,7 @@ TEST(ReservationStation, StaleWakeupAfterSquashIsHarmless)
     a.psrc1 = src;
     const int slot = rob.push(std::move(a));
 
-    ReservationStation rs(4);
+    ReservationStation rs(4, rob);
     rs.insert(slot, 5, src, kNoPhysReg, prf);
     rs.squashAfter(2); // removes seq 5
     EXPECT_EQ(rs.size(), 0);
@@ -318,11 +323,247 @@ TEST(ReservationStation, FullInsertPanics)
 {
     Rob rob(8);
     PhysRegFile prf(64);
-    ReservationStation rs(1);
+    ReservationStation rs(1, rob);
     rs.insert(rob.push(makeUop(1, 1)), 1, kNoPhysReg, kNoPhysReg, prf);
     const int slot = rob.push(makeUop(2, 2));
     EXPECT_DEATH(rs.insert(slot, 2, kNoPhysReg, kNoPhysReg, prf),
                  "full");
+}
+
+TEST(ReservationStation, OldestFirstAcrossRobWrap)
+{
+    // Park the ROB head two slots before the end of the ring, so the
+    // window wraps: slots 190, 191, then 0, 1, ... are oldest first.
+    // Ready entries sit on both sides of the wrap and in a later mask
+    // word; select must take them in seq order and stop at the width.
+    constexpr int kCapacity = 192;
+    Rob rob(kCapacity);
+    PhysRegFile prf(64);
+    ReservationStation rs(16, rob);
+    SeqNum seq = 0;
+    for (int i = 0; i < kCapacity - 2; ++i) {
+        rob.push(makeUop(++seq, 0));
+        rob.popHead();
+    }
+    ASSERT_EQ(rob.headSlot(), kCapacity - 2);
+
+    const PhysReg pending = prf.alloc(); // not ready
+    std::vector<int> slots;
+    for (int i = 0; i < 80; ++i)
+        slots.push_back(rob.push(makeUop(++seq, i)));
+    ASSERT_EQ(slots[0], 190);
+    ASSERT_EQ(slots[2], 0);
+    ASSERT_EQ(slots[75], 73); // Second mask word.
+
+    // Youngest first, so insertion order cannot explain the result.
+    const int ready_idx[] = {75, 3, 2, 1, 0};
+    for (const int i : ready_idx) {
+        rs.insert(slots[i], rob.slot(slots[i]).seq, kNoPhysReg,
+                  kNoPhysReg, prf);
+    }
+    rs.insert(slots[4], rob.slot(slots[4]).seq, pending, kNoPhysReg, prf);
+
+    auto picked = rs.selectReady(3);
+    ASSERT_EQ(picked.size(), 3u);
+    EXPECT_EQ(picked[0], 190);
+    EXPECT_EQ(picked[1], 191);
+    EXPECT_EQ(picked[2], 0);
+
+    prf.write(pending, 1, false, false);
+    rs.notifyWritten(pending);
+    picked = rs.selectReady(4);
+    ASSERT_EQ(picked.size(), 3u);
+    EXPECT_EQ(picked[0], slots[3]);
+    EXPECT_EQ(picked[1], slots[4]);
+    EXPECT_EQ(picked[2], slots[75]);
+    EXPECT_EQ(rs.size(), 0);
+
+    // A full ring: the head word's bits below the head are the
+    // youngest entries and must come last.
+    Rob ring(8);
+    ReservationStation small(8, ring);
+    for (int i = 0; i < 6; ++i) {
+        ring.push(makeUop(++seq, 0));
+        ring.popHead();
+    }
+    for (int i = 0; i < 8; ++i) {
+        const int slot = ring.push(makeUop(++seq, i));
+        small.insert(slot, seq, kNoPhysReg, kNoPhysReg, prf);
+    }
+    ASSERT_EQ(ring.headSlot(), 6);
+    picked = small.selectReady(3);
+    ASSERT_EQ(picked.size(), 3u);
+    EXPECT_EQ(picked[0], 6);
+    EXPECT_EQ(picked[1], 7);
+    EXPECT_EQ(picked[2], 0);
+    picked = small.selectReady(16);
+    ASSERT_EQ(picked.size(), 5u);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(picked[i], i + 1);
+}
+
+TEST(ReservationStation, RandomizedDifferentialAgainstSeqScan)
+{
+    // The station against a reference model: a map of resident entries
+    // whose select is "oldest ready by seq", with readiness read
+    // straight from the register file. Random insert, write/notify,
+    // select (with reinsertion of rejected picks), head retirement,
+    // squash and clear keep the ROB wrapping across mask words.
+    constexpr int kRobEntries = 150;
+    constexpr int kRsEntries = 40;
+    Rng rng(0x5e1ec7);
+    Rob rob(kRobEntries);
+    PhysRegFile prf(256);
+    ReservationStation rs(kRsEntries, rob);
+
+    struct RefEntry
+    {
+        SeqNum seq;
+        PhysReg src1;
+        PhysReg src2;
+    };
+    std::map<int, RefEntry> ref; // ROB slot -> resident entry.
+    std::vector<bool> issued(kRobEntries, false);
+    SeqNum next_seq = 1;
+
+    const auto src_ready = [&](PhysReg r) {
+        return r == kNoPhysReg || prf.ready(r);
+    };
+    const auto ref_ready = [&](const RefEntry &e) {
+        return src_ready(e.src1) && src_ready(e.src2);
+    };
+    // A source: a pending or ready in-flight destination, or none.
+    const auto pick_source = [&]() -> PhysReg {
+        if (rob.empty() || rng.chance(0.2))
+            return kNoPhysReg;
+        const int back = int(rng.range(std::min(rob.size(), 12)));
+        return rob.slot(rob.logicalToSlot(rob.size() - 1 - back)).pdst;
+    };
+    const auto expect_agree = [&](std::uint64_t step) {
+        ASSERT_EQ(rs.size(), int(ref.size())) << "step " << step;
+        bool any = false;
+        for (const auto &[slot, e] : ref)
+            any = any || ref_ready(e);
+        ASSERT_EQ(rs.hasReady(), any) << "step " << step;
+        ASSERT_EQ(rs.anyReady(rob, prf), any) << "step " << step;
+    };
+
+    std::vector<PhysReg> retired_regs; // Retired, not yet freed.
+    const auto free_unread = [&] {
+        for (auto it = retired_regs.begin(); it != retired_regs.end();) {
+            bool read = false;
+            for (int i = 0; i < rob.size() && !read; ++i) {
+                const DynUop &u = rob.slot(rob.logicalToSlot(i));
+                read = u.psrc1 == *it || u.psrc2 == *it;
+            }
+            if (read) {
+                ++it;
+            } else {
+                prf.free(*it);
+                it = retired_regs.erase(it);
+            }
+        }
+    };
+
+    int selects = 0;
+    int wraps = 0;
+    for (std::uint64_t step = 0; step < 40000; ++step) {
+        const std::uint64_t roll = rng.next() % 100;
+        if (roll < 30) {
+            // Rename + insert.
+            if (!rob.full() && !rs.full() && prf.canAlloc()) {
+                const PhysReg s1 = pick_source();
+                const PhysReg s2 = rng.chance(0.3) ? s1 : pick_source();
+                DynUop u = makeUop(next_seq++, 0);
+                u.psrc1 = s1;
+                u.psrc2 = s2;
+                u.pdst = prf.alloc();
+                const int slot = rob.push(std::move(u));
+                issued[slot] = false;
+                rs.insert(slot, rob.slot(slot).seq, s1, s2, prf);
+                ref[slot] = RefEntry{rob.slot(slot).seq, s1, s2};
+            }
+        } else if (roll < 55) {
+            // Write back a random pending in-flight destination.
+            if (!rob.empty()) {
+                const int pos = int(rng.range(rob.size()));
+                const PhysReg dst = rob.slot(rob.logicalToSlot(pos)).pdst;
+                if (!prf.ready(dst)) {
+                    prf.write(dst, 1, false, false);
+                    rs.notifyWritten(dst);
+                }
+            }
+        } else if (roll < 75) {
+            // Select against the reference "oldest ready by seq".
+            const int width = 1 + int(rng.range(4));
+            std::vector<std::pair<SeqNum, int>> ready;
+            for (const auto &[slot, e] : ref) {
+                if (ref_ready(e))
+                    ready.emplace_back(e.seq, slot);
+            }
+            std::sort(ready.begin(), ready.end());
+            if (int(ready.size()) > width)
+                ready.resize(width);
+            const std::vector<int> got = rs.selectReady(width);
+            ASSERT_EQ(got.size(), ready.size()) << "step " << step;
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(got[i], ready[i].second) << "step " << step;
+            ++selects;
+            for (const int slot : got) {
+                const RefEntry e = ref.at(slot);
+                ref.erase(slot);
+                if (rng.chance(0.15)) {
+                    // Rejected at execute (port or memory queue): back
+                    // into the station.
+                    rs.reinsert(slot, e.seq, e.src1, e.src2, prf);
+                    ref[slot] = e;
+                } else {
+                    issued[slot] = true;
+                }
+            }
+        } else if (roll < 88) {
+            // Retire issued, written heads. A retired destination is
+            // freed once no in-flight uop reads it — the register-file
+            // invariant the station's exactness rests on.
+            while (!rob.empty()) {
+                const int head = rob.headSlot();
+                const PhysReg dst = rob.head().pdst;
+                if (!issued[head] || !prf.ready(dst))
+                    break;
+                retired_regs.push_back(dst);
+                rob.popHead();
+                if (rob.headSlot() == 0)
+                    ++wraps;
+            }
+            free_unread();
+        } else if (roll < 98) {
+            // Squash to a random in-flight seq (branch recovery).
+            if (!rob.empty()) {
+                const int pos = int(rng.range(rob.size()));
+                const SeqNum keep = rob.slot(rob.logicalToSlot(pos)).seq;
+                while (!rob.empty() && rob.slot(rob.tailSlot()).seq > keep) {
+                    prf.free(rob.slot(rob.tailSlot()).pdst);
+                    rob.popTail();
+                }
+                rs.squashAfter(keep);
+                std::erase_if(ref, [&](const auto &kv) {
+                    return kv.second.seq > keep;
+                });
+            }
+        } else {
+            // Full flush (runahead exit / watchdog recovery).
+            while (!rob.empty()) {
+                prf.free(rob.slot(rob.tailSlot()).pdst);
+                rob.popTail();
+            }
+            free_unread();
+            rs.clear();
+            ref.clear();
+        }
+        expect_agree(step);
+    }
+    EXPECT_GT(selects, 1000);
+    EXPECT_GT(wraps, 10);
 }
 
 // --------------------------------------------------------------------

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
 
+#include "captured_stream.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -99,6 +102,61 @@ TEST(Logging, Strprintf)
 TEST(Logging, PanicAborts)
 {
     EXPECT_DEATH(panic("boom %d", 3), "boom 3");
+}
+
+// --------------------------------------------------------------------
+// Diagnostics on a shared stream
+// --------------------------------------------------------------------
+
+TEST(Logging, DiagnosticsFollowEarlierStdoutOnSharedStream)
+{
+    // Results printed before a warning must precede it in `out` when
+    // both streams go to one file, although stdout is block-buffered.
+    const std::string out = test::captureCombinedOutput([] {
+        std::printf("result a\n");
+        warn("first %d", 1);
+        std::printf("result b\n");
+        inform("note");
+        std::printf("result c\n");
+    });
+    EXPECT_EQ(out, "result a\nwarn: first 1\nresult b\ninfo: note\n"
+                   "result c\n");
+}
+
+TEST(Logging, ContextTagsWarningsAndNests)
+{
+    const std::string out = test::captureCombinedOutput([] {
+        {
+            const LogContext run("mcf/Hybrid");
+            warn("inside");
+            {
+                const LogContext inner("inner");
+                warn("nested");
+            }
+            warn("restored");
+        }
+        warn("outside");
+    });
+    EXPECT_EQ(out, "warn: [mcf/Hybrid] inside\nwarn: [inner] nested\n"
+                   "warn: [mcf/Hybrid] restored\nwarn: outside\n");
+}
+
+TEST(Logging, ContextIsPerThread)
+{
+    // A sweep worker starts untagged and keeps its own tag; neither
+    // leaks into the other thread.
+    const std::string out = test::captureCombinedOutput([] {
+        const LogContext main_ctx("main");
+        std::thread worker([] {
+            warn("untagged");
+            const LogContext worker_ctx("worker");
+            warn("tagged");
+        });
+        worker.join();
+        warn("main thread");
+    });
+    EXPECT_EQ(out, "warn: untagged\nwarn: [worker] tagged\n"
+                   "warn: [main] main thread\n");
 }
 
 } // namespace

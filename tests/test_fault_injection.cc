@@ -23,8 +23,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "captured_stream.hh"
 #include "checker/invariant_checker.hh"
 #include "core/simulation.hh"
 #include "fault/fault_injector.hh"
@@ -552,6 +555,57 @@ TEST(FaultContainment, QueueStallWindowsAreCountedAndSurvived)
     EXPECT_GT(sim.core().loadQueueRetries.value()
                   + sim.core().storeQueueRetries.value(),
               0u);
+}
+
+TEST(FaultContainment, RunDiagnosticsNameTheirRunOnSharedStream)
+{
+    // `rabsim --all ... --check-policy degrade > out 2>&1`: each run's
+    // invariant warnings must sit between the previous run's result
+    // line and its own, tagged with its workload and config. mcf and
+    // soplex both raise violations under this fault rate.
+    const char *workloads[] = {"calculix", "mcf", "soplex"};
+    const std::string out = test::captureCombinedOutput([&] {
+        for (const char *name : workloads) {
+            SimConfig config = makeConfig(RunaheadConfig::kHybrid, false);
+            config.instructions = 20'000;
+            config.warmupInstructions = 5'000;
+            config.checkLevel = CheckLevel::kFull;
+            config.checkPolicy = CheckPolicy::kDegrade;
+            config.fault.enabled = true;
+            config.fault.setAllRates(0.01);
+            config.finalize();
+            Simulation sim(config, buildSuiteWorkload(name));
+            std::printf("%s\n", sim.run().toString().c_str());
+        }
+    });
+    ASSERT_FALSE(out.empty());
+
+    // Group lines by run: everything up to and including a result line.
+    std::istringstream lines(out);
+    std::string line;
+    std::vector<std::string> pending_warns;
+    int results = 0;
+    int warns = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("warn: ", 0) == 0) {
+            pending_warns.push_back(line);
+            ++warns;
+            continue;
+        }
+        if (line.rfind("  ", 0) == 0)
+            continue; // A violation's state-dump continuation line.
+        ASSERT_LT(results, 3) << line;
+        const std::string run = std::string(workloads[results]) + "/Hybrid";
+        ASSERT_EQ(line.rfind(run + ":", 0), 0u) << line;
+        const std::string tag = "[" + run + "]";
+        for (const std::string &w : pending_warns)
+            EXPECT_NE(w.find(tag), std::string::npos) << w;
+        pending_warns.clear();
+        ++results;
+    }
+    EXPECT_EQ(results, 3);
+    EXPECT_TRUE(pending_warns.empty());
+    EXPECT_GT(warns, 0);
 }
 
 } // namespace

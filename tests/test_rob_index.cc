@@ -7,10 +7,10 @@
  * 1. A randomized structural differential drives a Rob through long
  *    sequences of push / popHead / popTail / clear — including
  *    squash-to-checkpoint bursts, the pattern branch recovery and
- *    runahead exit produce — and after every mutation compares the
- *    incremental PC and producer indexes against the retained
- *    linear-scan reference forms for every interesting (pc, seq) and
- *    (reg, seq) query.
+ *    runahead exit produce, and snapshot capture→restore — and after
+ *    every mutation compares the on-demand PC and producer CAMs
+ *    against the retained linear-scan reference forms for every
+ *    interesting (pc, seq) and (reg, seq) query.
  *
  * 2. A whole-simulation differential (the test_fastforward pattern):
  *    for all six runahead configurations, a run with the indexes
@@ -35,6 +35,7 @@
 #include "common/rng.hh"
 #include "core/simulation.hh"
 #include "reference_interpreter.hh"
+#include "snapshot/snapshot.hh"
 #include "workloads/suite.hh"
 
 namespace rab
@@ -100,6 +101,7 @@ TEST(RobIndex, RandomizedInsertRetireSquashDifferential)
     Rng rng(0x5eed);
     Rob rob(32);
     SeqNum next_seq = 1;
+    int restores = 0;
 
     const auto push_random = [&] {
         // Small PC / register alphabets force heavy key collisions, the
@@ -124,7 +126,7 @@ TEST(RobIndex, RandomizedInsertRetireSquashDifferential)
         } else if (roll < 85) {
             if (!rob.empty())
                 rob.popTail();
-        } else if (roll < 97) {
+        } else if (roll < 95) {
             // Squash to a checkpoint: pop the tail back to a random
             // retained size, exactly what Core::squashYoungerThan and
             // runahead-exit restoration do.
@@ -132,13 +134,39 @@ TEST(RobIndex, RandomizedInsertRetireSquashDifferential)
                 rob.empty() ? 0 : int(rng.next() % (rob.size() + 1));
             while (rob.size() > keep)
                 rob.popTail();
-        } else {
+        } else if (roll < 97) {
             rob.clear();
+        } else {
+            // Snapshot capture→restore, landing on this ROB after its
+            // CAM was built for a different window, and on a fresh ROB
+            // that never built one.
+            const std::string payload = captureRobState(rob);
+            if (!rob.empty())
+                rob.popTail();
+            expectFormsAgree(rob, next_seq, step);
+            restoreRobState(rob, payload);
+            Rob fresh(32);
+            restoreRobState(fresh, payload);
+            ASSERT_EQ(fresh.size(), rob.size());
+            ASSERT_EQ(fresh.headSlot(), rob.headSlot());
+            expectFormsAgree(fresh, next_seq, step);
+            ++restores;
         }
         expectFormsAgree(rob, next_seq, step);
     }
     // The walk must have exercised a full window at least once.
     EXPECT_GT(next_seq, 1000u);
+    EXPECT_GT(restores, 100);
+}
+
+TEST(RobIndex, RestoreRejectsMismatchedCapacity)
+{
+    Rob small(8);
+    small.push(makeUop(1, 3, 2, 0, 1));
+    const std::string payload = captureRobState(small);
+    Rob large(16);
+    EXPECT_THROW(restoreRobState(large, payload), SnapshotError);
+    EXPECT_THROW(restoreRobState(small, payload + "x"), SnapshotError);
 }
 
 TEST(RobIndex, SetIndexedSelectsReferencePath)
@@ -153,7 +181,7 @@ TEST(RobIndex, SetIndexedSelectsReferencePath)
     EXPECT_FALSE(rob.indexed());
     const int via_scan = rob.findOldestByPc(3, 1);
     EXPECT_EQ(via_index, via_scan);
-    // The indexes stay maintained while disabled.
+    // The indexed forms stay correct while disabled.
     rob.push(makeUop(3, /*pc=*/7, /*dest=*/2, 5, kNoArchReg));
     rob.setIndexed(true);
     EXPECT_EQ(rob.findOldestByPc(7, 0), rob.findOldestByPcScan(7, 0));
