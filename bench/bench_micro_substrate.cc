@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the substrate primitives: cache
  * tag access, DRAM scheduling, branch prediction, reservation-station
- * wakeup/select, ROB CAM queries and whole-core simulation throughput.
+ * wakeup/select, ROB CAM queries, chain-analysis recording and
+ * whole-core simulation throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include "frontend/branch_predictor.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
+#include "runahead/chain_analysis.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -198,6 +200,56 @@ BM_RobCamQuery(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RobCamQuery);
+
+void
+BM_ChainAnalysisRecord(benchmark::State &state)
+{
+    // Traditional-runahead writebacks into the default 4096-entry
+    // history: a 12-uop loop body in program order, each uop displaced
+    // by up to 256 positions (writeback order), with a miss slice
+    // walked every state.range(0) records. One interval spans the
+    // whole 64k-record stream, so eviction runs throughout.
+    constexpr int kLoopBody = 12;
+    constexpr std::size_t kStream = 1u << 16;
+    const auto miss_every = static_cast<std::size_t>(state.range(0));
+    rab::Rng rng(19);
+    std::vector<std::pair<rab::SeqNum, rab::DynUop>> order;
+    order.reserve(kStream);
+    for (std::size_t seq = 1; seq <= kStream; ++seq) {
+        const int i = static_cast<int>(seq % kLoopBody);
+        rab::DynUop uop;
+        uop.seq = seq;
+        uop.pc = static_cast<rab::Pc>(100 + i);
+        uop.sop.op = i == 5 ? rab::Opcode::kLoad : rab::Opcode::kIntAlu;
+        uop.sop.dest = static_cast<rab::ArchReg>(i % 8);
+        uop.sop.src1 = static_cast<rab::ArchReg>((i + 7) % 8);
+        uop.sop.src2 = i % 3 == 0 ? rab::kNoArchReg
+                                  : static_cast<rab::ArchReg>((i + 5) % 8);
+        order.emplace_back(seq + rng.range(256), uop);
+    }
+    std::sort(order.begin(), order.end(), [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    });
+
+    rab::ChainAnalysis ca;
+    std::size_t next = 0;
+    ca.beginInterval();
+    for (auto _ : state) {
+        const rab::DynUop &uop = order[next].second;
+        ca.recordExec(uop);
+        if (++next % miss_every == 0)
+            ca.recordMiss(uop);
+        if (next == kStream) {
+            ca.endInterval();
+            ca.beginInterval();
+            next = 0;
+        }
+    }
+    ca.endInterval();
+    benchmark::DoNotOptimize(ca.chainLengthSum.value());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChainAnalysisRecord)->Arg(64);
 
 void
 BM_CoreSimulation(benchmark::State &state)

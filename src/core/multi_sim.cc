@@ -249,6 +249,17 @@ MultiSimulation::checkSharedContainment(Cycle now)
 MultiSimResult
 MultiSimulation::run()
 {
+    // Diagnostics name the whole mix, one run tag per core in core
+    // order: "[mcf/Hybrid,libq/Runahead,...]".
+    std::string tag;
+    for (int i = 0; i < numCores_; ++i) {
+        const std::size_t s = static_cast<std::size_t>(i);
+        if (i > 0)
+            tag += ',';
+        tag += runLogTag(programs_[s].name(), coreConfigs_[s]);
+    }
+    const LogContext log_context(tag);
+
     if (config_.warmupInstructions > 0) {
         runPhase(config_.warmupInstructions, /*collect=*/false);
         for (int i = 0; i < numCores_; ++i) {

@@ -64,11 +64,11 @@ Simulation::run()
 }
 
 std::string
-Simulation::logTag() const
+runLogTag(const std::string &workload_name, const SimConfig &config)
 {
-    return strprintf("%s/%s%s", program_.name().c_str(),
-                     runaheadConfigName(config_.runahead),
-                     config_.prefetch ? "+PF" : "");
+    return strprintf("%s/%s%s", workload_name.c_str(),
+                     runaheadConfigName(config.runahead),
+                     config.prefetch ? "+PF" : "");
 }
 
 void
@@ -78,7 +78,7 @@ Simulation::runWarmup()
     // prefetcher; then reset every counter so the measured region is
     // clean.
     if (config_.warmupInstructions > 0) {
-        const LogContext log_context(logTag());
+        const LogContext log_context(runLogTag(program_.name(), config_));
         core_->run(config_.warmupInstructions, config_.maxCycles);
         core_->stats().resetCounters();
         mem_->stats().resetCounters();
@@ -94,7 +94,7 @@ Simulation::enableTrace(const std::string &path)
 SimResult
 Simulation::runMeasured()
 {
-    const LogContext log_context(logTag());
+    const LogContext log_context(runLogTag(program_.name(), config_));
     std::unique_ptr<TraceWriter> trace;
     if (!tracePath_.empty()) {
         trace = std::make_unique<TraceWriter>(tracePath_);

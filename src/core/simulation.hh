@@ -113,11 +113,6 @@ class Simulation
     FaultInjector *faults() { return faults_.get(); }
 
   private:
-    /** Diagnostic tag of this run ("mcf/hybrid", "+PF" when the
-     *  prefetcher is on): warnings raised inside runWarmup() and
-     *  runMeasured() carry it (see LogContext). */
-    std::string logTag() const;
-
     SimConfig config_;
     Program program_;
     std::unique_ptr<FaultInjector> faults_;
@@ -125,6 +120,12 @@ class Simulation
     std::unique_ptr<Core> core_;
     std::string tracePath_; ///< Empty when tracing is disabled.
 };
+
+/** Diagnostic tag of one run ("mcf/Hybrid", "+PF" when the prefetcher
+ *  is on): warnings raised while a Simulation or MultiSimulation runs
+ *  carry it (see LogContext). */
+std::string runLogTag(const std::string &workload_name,
+                      const SimConfig &config);
 
 /**
  * Extract every SimResult metric from a finished (or budget-crossing)

@@ -1,12 +1,30 @@
 #include "runahead/chain_analysis.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "isa/functional.hh"
+#include "isa/program.hh"
 
 namespace rab
 {
+
+namespace
+{
+
+// The slice walk keeps its needed architectural registers in one word.
+static_assert(kNumArchRegs <= 32);
+
+std::uint32_t
+regBit(ArchReg reg)
+{
+    return reg == kNoArchReg ? 0u : std::uint32_t{1} << reg;
+}
+
+constexpr auto seqLess = [](const auto &a, const auto &b) {
+    return a.seq < b.seq;
+};
+
+} // namespace
 
 ChainAnalysis::ChainAnalysis(int window, int max_chain)
     : window_(window), maxChain_(max_chain), statGroup_("chain_analysis")
@@ -17,10 +35,67 @@ void
 ChainAnalysis::beginInterval()
 {
     inInterval_ = true;
-    history_.clear();
+    clearHistory();
+    // The tail normalizes past one window. After a normalize() the
+    // history holds at most a window of dead records and the live
+    // window; a merge grows it by the tail.
+    const std::size_t window = static_cast<std::size_t>(window_);
+    tail_.reserve(window + 1);
+    history_.reserve(3 * window + 1);
     intervalSignatures_.clear();
     intervalNecessary_.clear();
     intervalExecuted_ = 0;
+}
+
+void
+ChainAnalysis::clearHistory()
+{
+    history_.clear();
+    tail_.clear();
+    start_ = 0;
+}
+
+void
+ChainAnalysis::normalize()
+{
+    if (tail_.empty())
+        return;
+    std::sort(tail_.begin(), tail_.end(), seqLess);
+
+    // Merge from the back into the grown history, so the records older
+    // than the tail's oldest stay where they are. On equal seqs the
+    // history's copy lands first and the unique pass keeps it.
+    std::size_t i = history_.size();
+    std::size_t j = tail_.size();
+    history_.resize(i + j);
+    std::size_t k = history_.size();
+    while (j > 0) {
+        if (i > start_ && history_[i - 1].seq > tail_[j - 1].seq)
+            history_[--k] = history_[--i];
+        else
+            history_[--k] = tail_[--j];
+    }
+    tail_.clear();
+    const std::size_t from = i > start_ ? i - 1 : start_;
+    history_.erase(std::unique(history_.begin()
+                                   + static_cast<std::ptrdiff_t>(from),
+                               history_.end(),
+                               [](const Entry &a, const Entry &b) {
+                                   return a.seq == b.seq;
+                               }),
+                   history_.end());
+
+    // Keep the window_ largest seqs; compact once the dead prefix
+    // outgrows the window, so the copy amortises to O(1) per record.
+    const std::size_t window = static_cast<std::size_t>(window_);
+    if (history_.size() - start_ > window)
+        start_ = static_cast<std::uint32_t>(history_.size() - window);
+    if (start_ > window) {
+        history_.erase(history_.begin(),
+                       history_.begin()
+                           + static_cast<std::ptrdiff_t>(start_));
+        start_ = 0;
+    }
 }
 
 void
@@ -29,10 +104,10 @@ ChainAnalysis::recordExec(const DynUop &uop)
     if (!inInterval_)
         return;
     ++intervalExecuted_;
-    history_.emplace(uop.seq, Rec{uop.pc, uop.sop.dest, uop.sop.src1,
-                                  uop.sop.src2});
-    if (static_cast<int>(history_.size()) > window_)
-        history_.erase(history_.begin());
+    tail_.push_back(Entry{uop.seq, Rec{uop.pc, uop.sop.dest, uop.sop.src1,
+                                       uop.sop.src2}});
+    if (tail_.size() > static_cast<std::size_t>(window_))
+        normalize();
 }
 
 void
@@ -43,11 +118,8 @@ ChainAnalysis::recordMiss(const DynUop &uop)
 
     // Reconstruct the backward dependence slice of the missing load
     // over the recorded window.
-    std::unordered_set<int> needed; // architectural registers
-    if (uop.sop.src1 != kNoArchReg)
-        needed.insert(uop.sop.src1);
-    if (uop.sop.src2 != kNoArchReg)
-        needed.insert(uop.sop.src2);
+    normalize();
+    std::uint32_t needed = regBit(uop.sop.src1) | regBit(uop.sop.src2);
 
     // The chain is the *static* slice: each static uop (PC) counts
     // once. Without the dedup, every loop-carried induction would drag
@@ -65,21 +137,21 @@ ChainAnalysis::recordMiss(const DynUop &uop)
     };
 
     // Walk strictly backwards in program (sequence) order.
-    auto it = history_.lower_bound(uop.seq);
-    while (it != history_.begin() && !needed.empty()
+    const auto live =
+        history_.cbegin() + static_cast<std::ptrdiff_t>(start_);
+    auto it = std::lower_bound(live, history_.cend(), uop, seqLess);
+    while (it != live && needed != 0
            && static_cast<int>(slice_pcs.size()) < maxChain_) {
         --it;
-        const Rec &rec = it->second;
-        if (rec.dest == kNoArchReg || !needed.count(rec.dest))
+        const Rec &rec = it->rec;
+        const std::uint32_t dest = regBit(rec.dest);
+        if (!(needed & dest))
             continue;
-        needed.erase(rec.dest);
-        intervalNecessary_.insert(it->first);
+        needed &= ~dest;
+        intervalNecessary_.insert(it->seq);
         if (in_slice(rec.pc))
             continue; // an older instance of a static op already seen
-        if (rec.src1 != kNoArchReg)
-            needed.insert(rec.src1);
-        if (rec.src2 != kNoArchReg)
-            needed.insert(rec.src2);
+        needed |= regBit(rec.src1) | regBit(rec.src2);
         slice_pcs.push_back(rec.pc);
     }
 
@@ -105,7 +177,7 @@ ChainAnalysis::endInterval()
     opsExecuted += intervalExecuted_;
     opsNecessary += intervalNecessary_.size();
     inInterval_ = false;
-    history_.clear();
+    clearHistory();
     intervalSignatures_.clear();
     intervalNecessary_.clear();
     intervalExecuted_ = 0;

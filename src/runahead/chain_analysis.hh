@@ -15,9 +15,10 @@
 #ifndef RAB_RUNAHEAD_CHAIN_ANALYSIS_HH
 #define RAB_RUNAHEAD_CHAIN_ANALYSIS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <unordered_set>
+#include <vector>
 
 #include "backend/dyn_uop.hh"
 #include "common/types.hh"
@@ -79,13 +80,48 @@ class ChainAnalysis
         ArchReg src2;
     };
 
+    struct Entry
+    {
+        SeqNum seq;
+        Rec rec;
+    };
+
+    /**
+     * Fold the appended tail into the sorted history: sort the tail by
+     * sequence number, merge it in from the back (only the records
+     * younger than the tail's oldest move), drop repeated seqs and keep
+     * the window_ largest. Allocates nothing: beginInterval() reserves
+     * both buffers at their bounds.
+     */
+    void normalize();
+
+    void clearHistory();
+
     int window_;
     int maxChain_;
     bool inInterval_ = false;
-    /** Executed-op history keyed (and therefore ordered) by sequence
-     *  number: writeback order is not program order, and the backward
-     *  slice walk needs the latter. */
-    std::map<SeqNum, Rec> history_;
+    /** First live record of history_. 32 bits, so it fits beside
+     *  inInterval_ and the analyser keeps the size it had with an
+     *  ordered-map history: every Core member after it keeps its
+     *  offset, and a 16-byte shift there measurably slowed the
+     *  simulation of workloads that never record. */
+    std::uint32_t start_ = 0;
+    /**
+     * Executed-op history. Writeback order is not program order, and
+     * the backward slice walk needs the latter, so recordExec() only
+     * appends to tail_ and normalize() sorts lazily, before a walk or
+     * a save:
+     *   history_[0, start_)    evicted, dropped at the next compaction;
+     *   history_[start_, end)  the live window, ascending seq, no
+     *                          repeats.
+     * Keeping the window_ largest distinct seqs is what an
+     * evict-the-smallest step after every insert keeps too, whatever
+     * the insertion order, so the lazy order is exact. A seq recorded
+     * twice is one uop written back twice: its records are identical,
+     * so which copy survives does not matter.
+     */
+    std::vector<Entry> history_;
+    std::vector<Entry> tail_;
     std::unordered_set<std::uint64_t> intervalSignatures_;
     std::unordered_set<SeqNum> intervalNecessary_;
     std::uint64_t intervalExecuted_ = 0;

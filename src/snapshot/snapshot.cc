@@ -560,33 +560,31 @@ void
 SnapshotAccess::io(Ar &ar, ChainAnalysis &v)
 {
     field(ar, v.inInterval_);
-    // history_ maps SeqNum -> private Rec: serialized inline, in key
-    // order (std::map iteration).
-    std::uint64_t n = fieldCount(ar, v.history_.size());
-    if constexpr (!Ar::kIsLoad) {
-        for (auto &kv : v.history_) {
-            SeqNum seq = kv.first;
-            field(ar, seq);
-            field(ar, kv.second.pc);
-            field(ar, kv.second.dest);
-            field(ar, kv.second.src1);
-            field(ar, kv.second.src2);
+    // The live history window, oldest seq first. A load lands every
+    // record in the unsorted tail and lets normalize() order it.
+    if constexpr (!Ar::kIsLoad)
+        v.normalize();
+    std::uint64_t n = fieldCount(ar, v.history_.size() - v.start_);
+    if constexpr (Ar::kIsLoad) {
+        if (n > static_cast<std::uint64_t>(v.window_)) {
+            throw SnapshotError(SnapshotErrorKind::kFormat,
+                                "chain-analysis history exceeds its "
+                                "window");
         }
-    } else {
-        v.history_.clear();
-        auto hint = v.history_.end();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            SeqNum seq = 0;
-            field(ar, seq);
-            typename std::decay_t<decltype(v.history_)>::mapped_type
-                rec{};
-            field(ar, rec.pc);
-            field(ar, rec.dest);
-            field(ar, rec.src1);
-            field(ar, rec.src2);
-            hint = v.history_.emplace_hint(hint, seq, rec);
-        }
+        v.clearHistory();
+        v.tail_.resize(static_cast<std::size_t>(n));
     }
+    auto *records = Ar::kIsLoad ? v.tail_.data()
+                                : v.history_.data() + v.start_;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        field(ar, records[i].seq);
+        field(ar, records[i].rec.pc);
+        field(ar, records[i].rec.dest);
+        field(ar, records[i].rec.src1);
+        field(ar, records[i].rec.src2);
+    }
+    if constexpr (Ar::kIsLoad)
+        v.normalize();
     field(ar, v.intervalSignatures_);
     field(ar, v.intervalNecessary_);
     field(ar, v.intervalExecuted_);
@@ -1237,23 +1235,56 @@ snapshotHashHex(std::uint64_t hash)
     return strprintf("%016llx", (unsigned long long)hash);
 }
 
+namespace
+{
+
+/** One component through its section serializer alone. */
+template <class T>
+std::string
+captureComponent(T &v)
+{
+    SnapshotWriter w;
+    SnapshotAccess::io(w, v);
+    return w.take();
+}
+
+template <class T>
+void
+restoreComponent(T &v, const std::string &payload, const char *what)
+{
+    SnapshotReader r(payload);
+    SnapshotAccess::io(r, v);
+    if (r.remaining() != 0) {
+        throw SnapshotError(SnapshotErrorKind::kFormat,
+                            strprintf("trailing bytes after the %s state",
+                                      what));
+    }
+}
+
+} // namespace
+
 std::string
 captureRobState(Rob &rob)
 {
-    SnapshotWriter w;
-    SnapshotAccess::io(w, rob);
-    return w.take();
+    return captureComponent(rob);
 }
 
 void
 restoreRobState(Rob &rob, const std::string &payload)
 {
-    SnapshotReader r(payload);
-    SnapshotAccess::io(r, rob);
-    if (r.remaining() != 0) {
-        throw SnapshotError(SnapshotErrorKind::kFormat,
-                            "trailing bytes after the ROB state");
-    }
+    restoreComponent(rob, payload, "ROB");
+}
+
+std::string
+captureChainAnalysisState(ChainAnalysis &ca)
+{
+    return captureComponent(ca);
+}
+
+void
+restoreChainAnalysisState(ChainAnalysis &ca, const std::string &payload)
+{
+    restoreComponent(ca, payload, "chain-analysis");
 }
 
 std::string

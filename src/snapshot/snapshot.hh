@@ -36,6 +36,7 @@
 namespace rab
 {
 
+class ChainAnalysis;
 class Rob;
 class Simulation;
 struct SimConfig;
@@ -76,12 +77,15 @@ std::string captureSnapshot(Simulation &sim);
 void restoreSnapshot(Simulation &sim, const std::string &payload,
                      SnapshotRestoreMode mode);
 
-/** @{ Round-trip one ROB through its CORE-section serializer alone,
- *  for component tests that restore a ROB without a simulation. The
- *  payload has no frame, header or checksum; restoring throws
- *  SnapshotError on a short, long or malformed payload. */
+/** @{ Round-trip one ROB or chain analyser through its section
+ *  serializer alone, for component tests that restore it without a
+ *  simulation. The payload has no frame, header or checksum; restoring
+ *  throws SnapshotError on a short, long or malformed payload. */
 std::string captureRobState(Rob &rob);
 void restoreRobState(Rob &rob, const std::string &payload);
+std::string captureChainAnalysisState(ChainAnalysis &ca);
+void restoreChainAnalysisState(ChainAnalysis &ca,
+                               const std::string &payload);
 /** @} */
 
 /** Parse the META section without touching a simulation. */

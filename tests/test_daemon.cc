@@ -17,7 +17,6 @@
 
 #include <unistd.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,8 +24,7 @@
 #include "sweep/serve/daemon.hh"
 #include "sweep/serve/protocol.hh"
 #include "sweep/store/result_store.hh"
-
-namespace fs = std::filesystem;
+#include "temp_path.hh"
 
 namespace rab
 {
@@ -39,15 +37,6 @@ socketPath(const std::string &name)
 {
     return "/tmp/rabd-" + std::to_string(::getpid()) + "-" + name
         + ".sock";
-}
-
-std::string
-storeRoot(const std::string &name)
-{
-    const fs::path root =
-        fs::path(::testing::TempDir()) / ("rabdaemon-" + name);
-    fs::remove_all(root);
-    return root.string();
 }
 
 DaemonConfig
@@ -130,7 +119,8 @@ struct TestClient
 TEST(Daemon, SubmitStreamsPointsAndCompletes)
 {
     DaemonConfig config = testConfig("submit");
-    config.storeDir = storeRoot("submit");
+    const test::TempPath store_root("rabdaemon-submit");
+    config.storeDir = store_root.str();
     Daemon daemon(config);
     ASSERT_TRUE(daemon.start()) << daemon.error();
 

@@ -9,6 +9,7 @@
 
 #include "core/simulation.hh"
 #include "energy/energy_model.hh"
+#include "temp_path.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"
 
@@ -78,7 +79,8 @@ TEST(EnergyModel, BufferCheaperThanTraditional)
 
 TEST(Trace, RoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "/t1.rabt";
+    const test::TempPath file("t1.rabt");
+    const std::string &path = file.str();
     {
         TraceWriter writer(path);
         DynUop u;
@@ -106,12 +108,12 @@ TEST(Trace, RoundTrip)
     EXPECT_TRUE(records[0].flags & TraceRecord::kFlagLlcMiss);
     EXPECT_EQ(records[1].addr, kNoAddr);
     EXPECT_TRUE(records[1].flags & TraceRecord::kFlagTaken);
-    std::remove(path.c_str());
 }
 
 TEST(Trace, CaptureFromCoreAndSummarize)
 {
-    const std::string path = ::testing::TempDir() + "/t2.rabt";
+    const test::TempPath file("t2.rabt");
+    const std::string &path = file.str();
     SimConfig config = makeConfig(RunaheadConfig::kBaseline, false);
     config.warmupInstructions = 0;
     config.instructions = 3'000;
@@ -131,7 +133,6 @@ TEST(Trace, CaptureFromCoreAndSummarize)
     EXPECT_NEAR(summary.mpki,
                 1000.0 * summary.llcMisses / summary.totalUops, 1e-9);
     EXPECT_FALSE(summary.toString().empty());
-    std::remove(path.c_str());
 }
 
 TEST(Trace, SimulationEnableTraceCoversMeasuredRegionExactly)
@@ -141,7 +142,8 @@ TEST(Trace, SimulationEnableTraceCoversMeasuredRegionExactly)
     // boundary and cleared at the end of the measured region, so the
     // trace must agree record-for-record with the live run's measured
     // counters — same uop count, same LLC-miss-derived MPKI.
-    const std::string path = ::testing::TempDir() + "/t4.rabt";
+    const test::TempPath file("t4.rabt");
+    const std::string &path = file.str();
     SimConfig config = makeConfig(RunaheadConfig::kBaseline, false);
     config.warmupInstructions = 2'000;
     config.instructions = 5'000;
@@ -163,17 +165,16 @@ TEST(Trace, SimulationEnableTraceCoversMeasuredRegionExactly)
     // Trace MPKI therefore sits at or slightly above the live figure.
     EXPECT_GE(summary.mpki, result.mpki - 1e-9);
     EXPECT_NEAR(summary.mpki, result.mpki, result.mpki * 0.02);
-    std::remove(path.c_str());
 }
 
 TEST(Trace, RejectsGarbageFile)
 {
-    const std::string path = ::testing::TempDir() + "/t3.rabt";
+    const test::TempPath file("t3.rabt");
+    const std::string &path = file.str();
     std::FILE *f = std::fopen(path.c_str(), "wb");
     std::fputs("not a trace at all, just bytes", f);
     std::fclose(f);
     EXPECT_DEATH(TraceReader reader(path), "not a rab trace");
-    std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------

@@ -29,6 +29,7 @@
 
 #include "captured_stream.hh"
 #include "checker/invariant_checker.hh"
+#include "core/multi_sim.hh"
 #include "core/simulation.hh"
 #include "fault/fault_injector.hh"
 #include "fault/watchdog.hh"
@@ -110,12 +111,15 @@ TEST(FaultInjector, ChainCorruptionKeepsChainStructurallyLegal)
         ASSERT_FALSE(chain.empty());
         for (const ChainOp &op : chain) {
             ASSERT_LT(op.pc, 64u);
-            if (op.sop.dest != kNoArchReg)
+            if (op.sop.dest != kNoArchReg) {
                 ASSERT_LT(op.sop.dest, kNumArchRegs);
-            if (op.sop.src1 != kNoArchReg)
+            }
+            if (op.sop.src1 != kNoArchReg) {
                 ASSERT_LT(op.sop.src1, kNumArchRegs);
-            if (op.sop.src2 != kNoArchReg)
+            }
+            if (op.sop.src2 != kNoArchReg) {
                 ASSERT_LT(op.sop.src2, kNumArchRegs);
+            }
         }
     }
 }
@@ -606,6 +610,52 @@ TEST(FaultContainment, RunDiagnosticsNameTheirRunOnSharedStream)
     EXPECT_EQ(results, 3);
     EXPECT_TRUE(pending_warns.empty());
     EXPECT_GT(warns, 0);
+}
+
+TEST(FaultContainment, MixDiagnosticsNameTheMixOnSharedStream)
+{
+    // `rabsim` over a faulted 4-core mix with `--check-policy degrade
+    // > out 2>&1`: every warning raised during warmup or the measured
+    // region carries the mix tag (each core's workload and config, in
+    // core order) and precedes the mix's result block.
+    const std::string out = test::captureCombinedOutput([] {
+        SimConfig config = makeConfig(RunaheadConfig::kHybrid, false);
+        config.numCores = 4;
+        config.corePolicies = {RunaheadConfig::kHybrid,
+                               RunaheadConfig::kRunahead,
+                               RunaheadConfig::kCREHybrid,
+                               RunaheadConfig::kBaseline};
+        config.instructions = 10'000;
+        config.warmupInstructions = 5'000;
+        config.checkLevel = CheckLevel::kFull;
+        config.checkPolicy = CheckPolicy::kDegrade;
+        config.fault.enabled = true;
+        config.fault.setAllRates(0.01);
+        config.finalize();
+        const MultiSimResult r =
+            simulateMix(config, {"mcf", "soplex", "libq", "omnetpp"});
+        std::printf("%s\n", r.toString().c_str());
+    });
+    ASSERT_FALSE(out.empty());
+
+    const std::string tag = "[mcf/Hybrid,soplex/Runahead,"
+                            "libq/CRE+Hybrid,omnetpp/Baseline]";
+    std::istringstream lines(out);
+    std::string line;
+    int warns = 0;
+    int results = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("warn: ", 0) == 0) {
+            EXPECT_NE(line.find(tag), std::string::npos) << line;
+            EXPECT_EQ(results, 0) << "after the result block: " << line;
+            ++warns;
+        } else if (line.rfind("core", 0) == 0
+                   || line.rfind("total: ", 0) == 0) {
+            ++results;
+        }
+    }
+    EXPECT_GT(warns, 0);
+    EXPECT_EQ(results, 5); // core0..core3 and the total line
 }
 
 } // namespace

@@ -18,8 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -31,9 +29,8 @@
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
 #include "sweep/store/result_store.hh"
+#include "temp_path.hh"
 #include "workloads/suite.hh"
-
-namespace fs = std::filesystem;
 
 namespace rab
 {
@@ -313,7 +310,7 @@ class SnapshotFileTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "/snap_test.rabsnap";
+        path_ = file_.str();
         const SimConfig config =
             makeTestConfig(RunaheadConfig::kBaseline, false);
         Simulation warm(config, buildSuiteWorkload("mcf"));
@@ -322,7 +319,6 @@ class SnapshotFileTest : public ::testing::Test
         writeSnapshotFile(path_, payload_);
     }
 
-    void TearDown() override { std::remove(path_.c_str()); }
 
     std::string readRaw() const
     {
@@ -349,6 +345,7 @@ class SnapshotFileTest : public ::testing::Test
         return SnapshotErrorKind::kIo;
     }
 
+    const test::TempPath file_{"snap_test.rabsnap"};
     std::string path_;
     std::string payload_;
 };
@@ -504,10 +501,8 @@ TEST(SnapshotCampaign, SnapshotAndInlineWarmupAreDistinctUniverses)
 
 TEST(SnapshotCampaign, StoreCachesImagesAndKeysResultsByImage)
 {
-    const fs::path root =
-        fs::path(::testing::TempDir()) / "rabstore-snapwarm";
-    fs::remove_all(root);
-    ResultStore store(root.string());
+    const test::TempPath root("rabstore-snapwarm");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
 
     const CampaignSpec spec = campaignSpec();

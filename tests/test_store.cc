@@ -26,6 +26,7 @@
 #include "sweep/report.hh"
 #include "sweep/store/result_store.hh"
 #include "sweep/store/store_key.hh"
+#include "temp_path.hh"
 
 namespace fs = std::filesystem;
 
@@ -33,16 +34,6 @@ namespace rab
 {
 namespace
 {
-
-/** Fresh per-test store root under the gtest temp dir. */
-std::string
-storeRoot(const std::string &name)
-{
-    const fs::path root =
-        fs::path(::testing::TempDir()) / ("rabstore-" + name);
-    fs::remove_all(root);
-    return root.string();
-}
 
 CampaignSpec
 storeSpec()
@@ -308,7 +299,8 @@ TEST(StoreKey, EveryFieldChangesTheKey)
 
 TEST(ResultStore, RoundTripsAResult)
 {
-    ResultStore store(storeRoot("roundtrip"));
+    const test::TempPath root("rabstore-roundtrip");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
 
     const CampaignSpec spec = storeSpec();
@@ -340,7 +332,8 @@ TEST(ResultStore, RoundTripsAResult)
 
 TEST(ResultStore, RejectsFailedResults)
 {
-    ResultStore store(storeRoot("failed"));
+    const test::TempPath root("rabstore-failed");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
 
     PointResult failed = syntheticResult();
@@ -356,7 +349,8 @@ TEST(ResultStore, RejectsFailedResults)
 
 TEST(ResultStore, SelfHealsTruncatedRecord)
 {
-    ResultStore store(storeRoot("truncated"));
+    const test::TempPath root("rabstore-truncated");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     const StoreKey key = keyFor(storeSpec(), syntheticResult());
     ASSERT_TRUE(store.put(key, syntheticResult()));
@@ -378,7 +372,8 @@ TEST(ResultStore, SelfHealsTruncatedRecord)
 
 TEST(ResultStore, SelfHealsFlippedPayloadBit)
 {
-    ResultStore store(storeRoot("bitflip"));
+    const test::TempPath root("rabstore-bitflip");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     const StoreKey key = keyFor(storeSpec(), syntheticResult());
     ASSERT_TRUE(store.put(key, syntheticResult()));
@@ -402,7 +397,8 @@ TEST(ResultStore, SelfHealsFlippedPayloadBit)
 
 TEST(ResultStore, KeyEchoRejectsMisfiledRecord)
 {
-    ResultStore store(storeRoot("misfiled"));
+    const test::TempPath root("rabstore-misfiled");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     const CampaignSpec spec = storeSpec();
     const PointResult pr = syntheticResult();
@@ -432,7 +428,8 @@ TEST(ResultStore, RejectsStaleConfigSchemaRecords)
     // otherwise intact — magic, version, CRC and key echo all valid —
     // it predates the warmup-mode key fields and must read as a miss
     // (self-healed away), never as a hit.
-    ResultStore store(storeRoot("prev4"));
+    const test::TempPath root("rabstore-prev4");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     const CampaignSpec spec = storeSpec();
     const PointResult pr = syntheticResult();
@@ -498,7 +495,8 @@ snapshotKey()
 
 TEST(ResultStore, SnapshotRecordsRoundTrip)
 {
-    ResultStore store(storeRoot("snap"));
+    const test::TempPath root("rabstore-snap");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     const SnapshotStoreKey key = snapshotKey();
 
@@ -527,7 +525,8 @@ TEST(ResultStore, SnapshotRecordsRoundTrip)
 
 TEST(ResultStore, SnapshotRecordsSelfHeal)
 {
-    ResultStore store(storeRoot("snapheal"));
+    const test::TempPath root("rabstore-snapheal");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     const SnapshotStoreKey key = snapshotKey();
     const std::string payload(4096, '\x5a');
@@ -587,7 +586,8 @@ TEST(ResultStore, ResumedCampaignIsByteIdentical)
         campaignManifest(runCampaign(spec, 2), /*canonical=*/true)
             .dump();
 
-    ResultStore store(storeRoot("resume"));
+    const test::TempPath root("rabstore-resume");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     CampaignRunOptions options;
     options.store = &store;
@@ -615,7 +615,8 @@ TEST(ResultStore, InterruptedCampaignResumesWhereItDied)
         campaignManifest(runCampaign(spec, 1), /*canonical=*/true)
             .dump();
 
-    ResultStore store(storeRoot("interrupt"));
+    const test::TempPath root("rabstore-interrupt");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
 
     // Run 1 is interrupted after two points — the cooperative-stop
@@ -659,7 +660,8 @@ TEST(ResultStore, ConfigHookBypassesTheStore)
     // return results the hook never saw.
     spec.configHook = [](std::size_t, SimConfig &) {};
 
-    ResultStore store(storeRoot("hook"));
+    const test::TempPath root("rabstore-hook");
+    ResultStore store(root.str());
     ASSERT_TRUE(store.ok()) << store.error();
     CampaignRunOptions options;
     options.store = &store;
