@@ -17,7 +17,8 @@
  *   rabsim --workload mcf --warmup 50000 --snapshot-out warm.rabsnap
  *   rabsim --workload mcf --warmup 50000 --snapshot-in warm.rabsnap
  *
- * Exit codes: 0 success, 3 watchdog gave up (forward progress lost),
+ * Exit codes: 0 success, 2 usage error (unknown flag, malformed
+ * number), 3 watchdog gave up (forward progress lost),
  * 4 invariant violation escaped (checker in throw policy), 8 snapshot
  * load failed under --snapshot-strict.
  */
@@ -32,6 +33,7 @@
 
 #include "checker/invariant_checker.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/profiler.hh"
 #include "core/multi_sim.hh"
 #include "core/simulation.hh"
@@ -145,6 +147,19 @@ usage(int code)
     std::exit(code);
 }
 
+/** @p text as a T; anything but a whole number is a usage error. */
+template <typename T>
+T
+numberArg(const char *text)
+{
+    const std::optional<T> value = parseNumber<T>(text);
+    if (!value) {
+        std::fprintf(stderr, "rabsim: malformed number '%s'\n", text);
+        usage(2);
+    }
+    return *value;
+}
+
 RunaheadConfig
 parseConfig(const std::string &name)
 {
@@ -186,7 +201,7 @@ parseArgs(int argc, char **argv)
             opts.config = parseConfig(next(i));
             opts.configSet = true;
         } else if (arg == "--cores")
-            opts.cores = std::atoi(next(i));
+            opts.cores = numberArg<int>(next(i));
         else if (arg == "--mix") {
             std::stringstream ss(next(i));
             std::string item;
@@ -204,9 +219,9 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--prefetch")
             opts.prefetch = true;
         else if (arg == "--instructions")
-            opts.instructions = std::strtoull(next(i), nullptr, 10);
+            opts.instructions = numberArg<std::uint64_t>(next(i));
         else if (arg == "--warmup")
-            opts.warmup = std::strtoull(next(i), nullptr, 10);
+            opts.warmup = numberArg<std::uint64_t>(next(i));
         else if (arg == "--stats")
             opts.dumpStats = true;
         else if (arg == "--json")
@@ -225,43 +240,43 @@ parseArgs(int argc, char **argv)
             opts.checkPolicy = parseCheckPolicy(next(i));
         else if (arg == "--fault-seed") {
             opts.fault.enabled = true;
-            opts.fault.seed = std::strtoull(next(i), nullptr, 10);
+            opts.fault.seed = numberArg<std::uint64_t>(next(i));
         } else if (arg == "--fault-rate") {
             opts.fault.enabled = true;
-            opts.fault.setAllRates(std::atof(next(i)));
+            opts.fault.setAllRates(numberArg<double>(next(i)));
         } else if (arg == "--fault-chain-rate") {
             opts.fault.enabled = true;
-            opts.fault.chainCacheRate = std::atof(next(i));
+            opts.fault.chainCacheRate = numberArg<double>(next(i));
         } else if (arg == "--fault-buffer-rate") {
             opts.fault.enabled = true;
-            opts.fault.bufferUopRate = std::atof(next(i));
+            opts.fault.bufferUopRate = numberArg<double>(next(i));
         } else if (arg == "--fault-dram-drop-rate") {
             opts.fault.enabled = true;
-            opts.fault.dramDropRate = std::atof(next(i));
+            opts.fault.dramDropRate = numberArg<double>(next(i));
         } else if (arg == "--fault-dram-delay-rate") {
             opts.fault.enabled = true;
-            opts.fault.dramDelayRate = std::atof(next(i));
+            opts.fault.dramDelayRate = numberArg<double>(next(i));
         } else if (arg == "--fault-stall-rate") {
             opts.fault.enabled = true;
-            opts.fault.memStallRate = std::atof(next(i));
+            opts.fault.memStallRate = numberArg<double>(next(i));
         } else if (arg == "--watchdog")
-            opts.watchdogCycles = std::strtoull(next(i), nullptr, 10);
+            opts.watchdogCycles = numberArg<std::uint64_t>(next(i));
         else if (arg == "--no-fast-forward")
             opts.fastForward = false;
         else if (arg == "--profile")
             Profiler::setEnabled(true);
         else if (arg == "--rob")
-            opts.robEntries = std::atoi(next(i));
+            opts.robEntries = numberArg<int>(next(i));
         else if (arg == "--rs")
-            opts.rsEntries = std::atoi(next(i));
+            opts.rsEntries = numberArg<int>(next(i));
         else if (arg == "--buffer")
-            opts.bufferEntries = std::atoi(next(i));
+            opts.bufferEntries = numberArg<int>(next(i));
         else if (arg == "--chain-cache")
-            opts.chainCacheEntries = std::atoi(next(i));
+            opts.chainCacheEntries = numberArg<int>(next(i));
         else if (arg == "--mem-queue")
-            opts.memQueueEntries = std::atoi(next(i));
+            opts.memQueueEntries = numberArg<int>(next(i));
         else if (arg == "--llc")
-            opts.llcBytes = std::strtoull(next(i), nullptr, 10);
+            opts.llcBytes = numberArg<std::uint64_t>(next(i));
         else if (arg == "--print-config")
             opts.printConfig = true;
         else if (arg == "--list")

@@ -15,7 +15,6 @@
  *   rabsweep --preset smoke --threads 2 --write-baseline \
  *            bench/baseline.json
  *   rabsweep --preset fig9 --store .rabstore      # resumable
- *   rabsweep --serve /tmp/rabsweep.sock --store .rabstore
  *
  * With --store, completed points are persisted in a crash-safe result
  * store and a re-run of the same campaign (same code, same configs)
@@ -39,11 +38,11 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/experiment.hh"
 #include "runahead/chain_microbench.hh"
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
-#include "sweep/serve/daemon.hh"
 #include "sweep/store/result_store.hh"
 #include "workloads/suite.hh"
 
@@ -73,15 +72,11 @@ struct Options
     bool snapshotWarmup = false; ///< Shared checkpointed warmup.
     bool snapshotNoShare = false; ///< Bench control arm: no sharing.
     std::string storeDir;   ///< Result-store root ("" = no store).
-    std::string servePath;  ///< Daemon socket ("" = batch mode).
-    std::size_t maxJobs = 4;
-    int ioTimeoutMs = 5000;
-    int idleTimeoutMs = 60000;
     int retryLimit = 2;
     int retryBackoffMs = 20;
 };
 
-/** Batch-mode SIGINT latch: workers stop claiming new points. */
+/** SIGINT latch: workers stop claiming new points. */
 std::atomic<bool> g_interrupted{false};
 
 void
@@ -138,18 +133,22 @@ usage(int code)
         "                      are reused, fresh ones persisted, so a\n"
         "                      killed campaign resumes on re-run\n"
         "  --retry-limit N     per-point fault retries (default 2)\n"
-        "  --retry-backoff MS  base retry backoff, doubling (def 20)\n"
-        "  --serve SOCKET      daemon mode: serve campaign specs over\n"
-        "                      a unix socket until SIGTERM/SIGINT,\n"
-        "                      then drain gracefully\n"
-        "  --max-jobs N        (serve) admission-control campaign\n"
-        "                      limit; excess submits are shed (def 4)\n"
-        "  --io-timeout MS     (serve) per-frame read/write deadline\n"
-        "                      before a client is reaped (def 5000)\n"
-        "  --idle-timeout MS   (serve) reap idle connections (def\n"
-        "                      60000)\n",
+        "  --retry-backoff MS  base retry backoff, doubling (def 20)\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
+}
+
+/** @p text as a T; anything but a whole number is a usage error. */
+template <typename T>
+T
+numberArg(const char *text)
+{
+    const std::optional<T> value = parseNumber<T>(text);
+    if (!value) {
+        std::fprintf(stderr, "rabsweep: malformed number '%s'\n", text);
+        usage(2);
+    }
+    return *value;
 }
 
 std::vector<std::string>
@@ -175,8 +174,6 @@ splitList(const std::string &list)
 ConfigVariant
 parseVariant(const std::string &name)
 {
-    // Shared with the daemon's submit-frame parser (campaign.cc);
-    // here an unknown label is a usage error, there a bad-spec frame.
     try {
         return parseVariantLabel(name);
     } catch (const std::exception &e) {
@@ -354,14 +351,13 @@ parseArgs(int argc, char **argv)
             opts.configs = splitList(next(i));
         else if (arg == "--seeds") {
             for (const std::string &s : splitList(next(i)))
-                opts.seeds.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10));
+                opts.seeds.push_back(numberArg<std::uint64_t>(s.c_str()));
         } else if (arg == "--instructions")
-            opts.instructions = std::strtoull(next(i), nullptr, 10);
+            opts.instructions = numberArg<std::uint64_t>(next(i));
         else if (arg == "--warmup")
-            opts.warmup = std::strtoull(next(i), nullptr, 10);
+            opts.warmup = numberArg<std::uint64_t>(next(i));
         else if (arg == "--threads")
-            opts.threads = std::atoi(next(i));
+            opts.threads = numberArg<int>(next(i));
         else if (arg == "--out")
             opts.outPath = next(i);
         else if (arg == "--stdout")
@@ -371,7 +367,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--gate")
             opts.gatePath = next(i);
         else if (arg == "--gate-threshold")
-            opts.gateThreshold = std::atof(next(i));
+            opts.gateThreshold = numberArg<double>(next(i));
         else if (arg == "--write-baseline")
             opts.baselineOutPath = next(i);
         else if (arg == "--snapshot-warmup")
@@ -384,19 +380,10 @@ parseArgs(int argc, char **argv)
             opts.listPresets = true;
         else if (arg == "--store")
             opts.storeDir = next(i);
-        else if (arg == "--serve")
-            opts.servePath = next(i);
-        else if (arg == "--max-jobs")
-            opts.maxJobs =
-                static_cast<std::size_t>(std::atoi(next(i)));
-        else if (arg == "--io-timeout")
-            opts.ioTimeoutMs = std::atoi(next(i));
-        else if (arg == "--idle-timeout")
-            opts.idleTimeoutMs = std::atoi(next(i));
         else if (arg == "--retry-limit")
-            opts.retryLimit = std::atoi(next(i));
+            opts.retryLimit = numberArg<int>(next(i));
         else if (arg == "--retry-backoff")
-            opts.retryBackoffMs = std::atoi(next(i));
+            opts.retryBackoffMs = numberArg<int>(next(i));
         else if (arg == "--help" || arg == "-h")
             usage(0);
         else
@@ -509,19 +496,6 @@ main(int argc, char **argv)
     if (opts.listPresets) {
         describePresets();
         return 0;
-    }
-
-    if (!opts.servePath.empty()) {
-        DaemonConfig config;
-        config.socketPath = opts.servePath;
-        config.storeDir = opts.storeDir;
-        config.threads = resolveThreads(opts.threads);
-        config.maxActiveJobs = opts.maxJobs;
-        config.ioTimeoutMs = opts.ioTimeoutMs;
-        config.idleTimeoutMs = opts.idleTimeoutMs;
-        config.retryLimit = opts.retryLimit;
-        config.retryBackoffMs = opts.retryBackoffMs;
-        return serveDaemon(config);
     }
 
     const CampaignSpec spec = buildSpec(opts);

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sweep/campaign.hh"
 
 namespace rab
@@ -22,13 +23,13 @@ envU64(const char *name, std::uint64_t fallback)
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value) {
+    const std::optional<std::uint64_t> parsed =
+        parseNumber<std::uint64_t>(value);
+    if (!parsed) {
         warn("ignoring unparsable %s='%s'", name, value);
         return fallback;
     }
-    return parsed;
+    return *parsed;
 }
 
 } // namespace

@@ -225,6 +225,16 @@ warmupImageConfig(const CampaignSpec &spec, const SweepPoint &point)
     return config;
 }
 
+/** Store-key id of a warmup image: "<format-version>/<content-hash>",
+ *  the pair that makes a v4 config key self-invalidating. */
+std::string
+warmupSnapshotId(const std::string &payload)
+{
+    return strprintf(
+        "%lu/%s", (unsigned long)kSnapshotFormatVersion,
+        snapshotHashHex(snapshotContentHash(payload)).c_str());
+}
+
 } // namespace
 
 std::string
@@ -234,88 +244,6 @@ buildWarmupImage(const CampaignSpec &spec, const SweepPoint &point)
                    buildWorkload(pointWorkloadParams(point)));
     sim.runWarmup();
     return captureSnapshot(sim);
-}
-
-std::string
-warmupSnapshotId(const std::string &payload)
-{
-    return strprintf(
-        "%lu/%s", (unsigned long)kSnapshotFormatVersion,
-        snapshotHashHex(snapshotContentHash(payload)).c_str());
-}
-
-struct WarmupImageCache::Group
-{
-    std::mutex mutex;
-    bool built = false;
-    bool failed = false;
-    std::string payload; ///< captureSnapshot image.
-    std::string id;      ///< warmupSnapshotId(payload).
-};
-
-WarmupImageCache::WarmupImageCache(ResultStore *store,
-                                   std::string git_sha)
-    : store_(store), gitSha_(std::move(git_sha))
-{
-}
-
-WarmupImageCache::~WarmupImageCache() = default;
-
-const std::string *
-WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point,
-                      std::string &snapshot_id)
-{
-    if (point.isMix())
-        return nullptr; // Mix points always warm inline.
-
-    Group *g = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto &slot = groups_[std::make_tuple(point.workload, point.seed,
-                                             point.prefetch)];
-        if (!slot)
-            slot = std::make_unique<Group>();
-        g = slot.get();
-    }
-
-    std::lock_guard<std::mutex> lock(g->mutex);
-    if (!g->built) {
-        g->built = true;
-        try {
-            SnapshotStoreKey skey;
-            bool from_store = false;
-            if (store_) {
-                skey.gitSha = gitSha_;
-                skey.warmupDigestHex = hex64(snapshotWarmupDigest(
-                    warmupImageConfig(spec, point)));
-                skey.workload = point.workload;
-                skey.seed = point.seed;
-                skey.warmupInstructions = spec.warmup;
-                skey.formatVersion = kSnapshotFormatVersion;
-                if (auto payload = store_->lookupSnapshot(skey)) {
-                    g->payload = std::move(*payload);
-                    from_store = true;
-                }
-            }
-            if (!from_store) {
-                g->payload = buildWarmupImage(spec, point);
-                if (store_)
-                    store_->putSnapshot(skey, g->payload);
-            }
-            g->id = warmupSnapshotId(g->payload);
-        } catch (const std::exception &e) {
-            g->failed = true;
-            g->payload.clear();
-            warn("sweep: warmup image build failed for '%s' seed "
-                 "%llu (%s): group warms inline",
-                 point.workload.c_str(),
-                 (unsigned long long)point.seed, e.what());
-        }
-    }
-    if (g->failed)
-        return nullptr;
-    snapshot_id = g->id;
-    return &g->payload;
 }
 
 PointResult
@@ -429,9 +357,9 @@ isRetryableFailure(const std::string &error)
 {
     // Fault-classified failures only: a watchdog giving up is the
     // "machine hiccup" class the degradation ladder exists for, and
-    // the one the daemon must not let poison a whole campaign. Spec
-    // errors (unknown workload) and invariant violations are
-    // deterministic bugs — retrying them just burns time.
+    // the one that must not poison a whole campaign. Spec errors
+    // (unknown workload) and invariant violations are deterministic
+    // bugs — retrying them just burns time.
     return error.rfind("WatchdogTimeout", 0) == 0;
 }
 
@@ -465,6 +393,107 @@ runPointWithRecovery(const CampaignSpec &spec, const SweepPoint &point,
 
 namespace
 {
+
+/**
+ * Thread-safe cache of shared warmup images, one per (workload, seed,
+ * prefetch) group: the engine behind CampaignSpec::snapshotWarmup.
+ * The first worker to reach a group builds its image — consulting /
+ * feeding the result store's snapshot records when one is attached —
+ * while the group's other points block on the warmup they are about
+ * to reuse.
+ */
+class WarmupImageCache
+{
+  public:
+    /** @p store (may be null) caches images across processes under
+     *  code identity @p git_sha. */
+    WarmupImageCache(ResultStore *store, std::string git_sha)
+        : store_(store), gitSha_(std::move(git_sha))
+    {
+    }
+
+    /**
+     * The shared image for @p point's group under @p spec, building
+     * it on first request. Returns nullptr — the caller warms inline
+     * — for mix points and after a failed build (a group fails once,
+     * not per point); otherwise the payload, with its store id left
+     * in @p snapshot_id. The pointer stays valid for the cache's
+     * lifetime.
+     */
+    const std::string *get(const CampaignSpec &spec,
+                           const SweepPoint &point,
+                           std::string &snapshot_id)
+    {
+        if (point.isMix())
+            return nullptr; // Mix points always warm inline.
+
+        Group *g = nullptr;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto &slot = groups_[std::make_tuple(
+                point.workload, point.seed, point.prefetch)];
+            if (!slot)
+                slot = std::make_unique<Group>();
+            g = slot.get();
+        }
+
+        std::lock_guard<std::mutex> lock(g->mutex);
+        if (!g->built) {
+            g->built = true;
+            try {
+                SnapshotStoreKey skey;
+                bool from_store = false;
+                if (store_) {
+                    skey.gitSha = gitSha_;
+                    skey.warmupDigestHex = hex64(snapshotWarmupDigest(
+                        warmupImageConfig(spec, point)));
+                    skey.workload = point.workload;
+                    skey.seed = point.seed;
+                    skey.warmupInstructions = spec.warmup;
+                    skey.formatVersion = kSnapshotFormatVersion;
+                    if (auto payload = store_->lookupSnapshot(skey)) {
+                        g->payload = std::move(*payload);
+                        from_store = true;
+                    }
+                }
+                if (!from_store) {
+                    g->payload = buildWarmupImage(spec, point);
+                    if (store_)
+                        store_->putSnapshot(skey, g->payload);
+                }
+                g->id = warmupSnapshotId(g->payload);
+            } catch (const std::exception &e) {
+                g->failed = true;
+                g->payload.clear();
+                warn("sweep: warmup image build failed for '%s' seed "
+                     "%llu (%s): group warms inline",
+                     point.workload.c_str(),
+                     (unsigned long long)point.seed, e.what());
+            }
+        }
+        if (g->failed)
+            return nullptr;
+        snapshot_id = g->id;
+        return &g->payload;
+    }
+
+  private:
+    struct Group
+    {
+        std::mutex mutex;
+        bool built = false;
+        bool failed = false;
+        std::string payload; ///< captureSnapshot image.
+        std::string id;      ///< warmupSnapshotId(payload).
+    };
+
+    ResultStore *store_;
+    std::string gitSha_;
+    std::mutex mutex_; ///< Guards the map's shape, not the groups.
+    std::map<std::tuple<std::string, std::uint64_t, bool>,
+             std::unique_ptr<Group>>
+        groups_;
+};
 
 /**
  * Lock-per-deque work-stealing queue of point indices. Points are
@@ -591,7 +620,7 @@ runCampaign(const CampaignSpec &spec, int threads,
     // One point, store-first: cached results short-circuit the
     // simulation; fresh ok results are persisted before they are
     // reported, so a kill arriving mid-campaign can never lose a
-    // point that a client already saw.
+    // point that onPoint already reported.
     const auto run_index = [&](std::size_t index) {
         const SweepPoint &point = grid[index];
 

@@ -29,10 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/sim_config.hh"
@@ -61,14 +58,14 @@ struct ConfigVariant
 ConfigVariant makeVariant(RunaheadConfig config, bool prefetch);
 
 /**
- * Parse a CLI/wire config label — "baseline", "runahead",
+ * Parse a CLI config label — "baseline", "runahead",
  * "runahead-enhanced", "buffer", "buffer-cc", "hybrid", "cre" or
- * "cre-hybrid", each with an optional "+pf" suffix — into a variant. A '|'-joined label
- * ("hybrid|baseline") assigns a policy per core of a multi-core mix
- * point; the first segment is the variant's headline config, and any
- * segment's "+pf" suffix enables the (chip-wide) prefetcher. Throws
- * std::runtime_error on an unknown name (the daemon turns that into
- * a bad-spec error frame; the CLI into a fatal()).
+ * "cre-hybrid", each with an optional "+pf" suffix — into a variant.
+ * A '|'-joined label ("hybrid|baseline") assigns a policy per core of
+ * a multi-core mix point; the first segment is the variant's headline
+ * config, and any segment's "+pf" suffix enables the (chip-wide)
+ * prefetcher. Throws std::runtime_error naming the label on an
+ * unknown name (the CLI turns that into a fatal()).
  */
 ConfigVariant parseVariantLabel(const std::string &label);
 
@@ -207,7 +204,7 @@ struct CampaignResult
     int threads = 1;
     double wallSeconds = 0;
     std::vector<PointResult> points;
-    /** Stopped early (SIGINT / daemon drain): not every point ran. */
+    /** Stopped early (SIGINT): not every point ran. */
     bool interrupted = false;
 
     /** @{ Result-store traffic (zero when no store was attached). */
@@ -241,17 +238,17 @@ struct CampaignRunOptions
     ResultStore *store = nullptr;
 
     /**
-     * Cooperative stop flag (set by a SIGINT handler or the daemon's
-     * drain path). Once true, workers finish their in-flight point
-     * but claim no new ones; the campaign returns with
-     * interrupted == true and un-run points marked !ran.
+     * Cooperative stop flag (set by a SIGINT handler). Once true,
+     * workers finish their in-flight point but claim no new ones; the
+     * campaign returns with interrupted == true and un-run points
+     * marked !ran.
      */
     const std::atomic<bool> *stop = nullptr;
 
     /**
      * Per-completed-point callback, invoked under an internal mutex
      * (serialised) as soon as each point finishes, in completion
-     * order — the daemon's incremental streaming hook.
+     * order.
      */
     std::function<void(const PointResult &point)> onPoint;
 
@@ -290,7 +287,7 @@ PointResult runPoint(const CampaignSpec &spec, const SweepPoint &point,
 
 /**
  * runPoint plus the spec's bounded-backoff retry and quarantine
- * policy (the daemon's and the pool's per-point worker).
+ * policy (the pool's per-point worker).
  */
 PointResult runPointWithRecovery(
     const CampaignSpec &spec, const SweepPoint &point,
@@ -304,54 +301,10 @@ bool isRetryableFailure(const std::string &error);
  * prefetch) group under @p spec's budgets and capture it — the image
  * every variant of the group forks from. Throws on any build, run or
  * capture failure. Exposed for the snapshotNoShare control arm and
- * tests; campaigns normally go through WarmupImageCache.
+ * tests; campaigns normally share one image per group.
  */
 std::string buildWarmupImage(const CampaignSpec &spec,
                              const SweepPoint &point);
-
-/** Store-key id of a warmup image: "<format-version>/<content-hash>",
- *  the pair that makes a v4 config key self-invalidating. */
-std::string warmupSnapshotId(const std::string &payload);
-
-/**
- * Thread-safe cache of shared warmup images, one per (workload, seed,
- * prefetch) group: the engine behind CampaignSpec::snapshotWarmup,
- * reusable by any scheduler that runs points itself (runCampaign's
- * pool, the daemon's per-job workers). The first worker to reach a
- * group builds its image — consulting / feeding the result store's
- * snapshot records when one is attached — while the group's other
- * points block on the warmup they are about to reuse.
- */
-class WarmupImageCache
-{
-  public:
-    /** @p store (may be null) caches images across processes under
-     *  code identity @p git_sha. */
-    WarmupImageCache(ResultStore *store, std::string git_sha);
-    ~WarmupImageCache();
-
-    /**
-     * The shared image for @p point's group under @p spec, building
-     * it on first request. Returns nullptr — the caller warms inline
-     * — for mix points and after a failed build (a group fails once,
-     * not per point); otherwise the payload, with its store id left
-     * in @p snapshot_id. The pointer stays valid for the cache's
-     * lifetime.
-     */
-    const std::string *get(const CampaignSpec &spec,
-                           const SweepPoint &point,
-                           std::string &snapshot_id);
-
-  private:
-    struct Group;
-
-    ResultStore *store_;
-    std::string gitSha_;
-    std::mutex mutex_; ///< Guards the map's shape, not the groups.
-    std::map<std::tuple<std::string, std::uint64_t, bool>,
-             std::unique_ptr<Group>>
-        groups_;
-};
 
 } // namespace rab
 

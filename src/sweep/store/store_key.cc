@@ -28,35 +28,17 @@ hex64(std::uint64_t value)
 }
 
 std::string
-canonicalConfigStringV1(const CampaignSpec &spec,
-                        const SweepPoint &point)
+canonicalConfigString(const CampaignSpec &spec, const SweepPoint &point,
+                      const std::string &snapshot_id)
 {
-    // Retired v1 format, kept verbatim so the golden-hash pin test
-    // can prove v2 actually diverged from it (a silent non-bump would
-    // serve stale single-core results to multi-core-aware code).
+    // Field order is part of the format: append-only, never reorder.
+    // Bumping the schema line deliberately invalidates every cached
+    // result — that is the intended way to retire a format. A point
+    // forked from a shared warmup snapshot is keyed to that exact
+    // image (format version + content hash), so a snapshot-format bump
+    // or a different warmup image can never serve a stale result.
     std::string s;
-    s += "schema=rab-config-key-v1\n";
-    s += "variant=" + point.variant + "\n";
-    s += std::string("runahead=") + runaheadConfigName(point.runahead)
-        + "\n";
-    s += strprintf("prefetch=%d\n", point.prefetch ? 1 : 0);
-    s += strprintf("warmup=%llu\n", (unsigned long long)spec.warmup);
-    s += strprintf("fast_forward=%d\n", spec.fastForward ? 1 : 0);
-    s += strprintf("check_level=%d\n",
-                   static_cast<int>(spec.checkLevel));
-    s += strprintf("check_policy=%d\n",
-                   static_cast<int>(spec.checkPolicy));
-    return s;
-}
-
-std::string
-canonicalConfigStringV2(const CampaignSpec &spec,
-                        const SweepPoint &point)
-{
-    // Retired v2 format (multi-core fields, no engine field), kept
-    // verbatim for the golden-hash pin, and as the base v3 extends.
-    std::string s;
-    s += "schema=rab-config-key-v2\n";
+    s += std::string("schema=") + kConfigKeySchema + "\n";
     s += "variant=" + point.variant + "\n";
     s += std::string("runahead=") + runaheadConfigName(point.runahead)
         + "\n";
@@ -82,18 +64,6 @@ canonicalConfigStringV2(const CampaignSpec &spec,
                                                   .size()]));
         }
     }
-    return s;
-}
-
-std::string
-canonicalConfigStringV3(const CampaignSpec &spec,
-                        const SweepPoint &point)
-{
-    // Retired v3 format (engine field, no warmup-mode fields), kept
-    // verbatim for the golden-hash pin, and as the base v4 extends.
-    std::string s = canonicalConfigStringV2(spec, point);
-    const std::string v2_line = "schema=rab-config-key-v2\n";
-    s.replace(0, v2_line.size(), "schema=rab-config-key-v3\n");
     const auto uses_engine = [](RunaheadConfig rc) {
         return rc == RunaheadConfig::kCRE
             || rc == RunaheadConfig::kCREHybrid;
@@ -102,24 +72,6 @@ canonicalConfigStringV3(const CampaignSpec &spec,
     for (const RunaheadConfig rc : point.corePolicies)
         engine = engine || uses_engine(rc);
     s += strprintf("engine=%d\n", engine ? 1 : 0);
-    return s;
-}
-
-std::string
-canonicalConfigString(const CampaignSpec &spec, const SweepPoint &point,
-                      const std::string &snapshot_id)
-{
-    // Field order is part of the format: append-only, never reorder.
-    // Bumping the schema line deliberately invalidates every cached
-    // result — that is the intended way to retire a format. v4 is the
-    // v3 body with a bumped schema line plus the warmup mode: a point
-    // forked from a shared warmup snapshot is keyed to that exact
-    // image (format version + content hash), so a snapshot-format bump
-    // or a different warmup image can never serve a stale result.
-    std::string s = canonicalConfigStringV3(spec, point);
-    const std::string v3_line = "schema=rab-config-key-v3\n";
-    s.replace(0, v3_line.size(),
-              std::string("schema=") + kConfigKeySchema + "\n");
     s += strprintf("warmup_mode=%s\n",
                    snapshot_id.empty() ? "inline" : "snapshot");
     s += "snapshot="

@@ -62,17 +62,6 @@ std::string canonicalConfigString(const CampaignSpec &spec,
                                   const SweepPoint &point,
                                   const std::string &snapshot_id = "");
 
-/** @{ Retired serialisations (v1: no multi-core fields; v2: no engine
- *  field; v3: no warmup-mode fields), kept only so tests can pin every
- *  golden hash and prove each schema bump actually diverged. */
-std::string canonicalConfigStringV1(const CampaignSpec &spec,
-                                    const SweepPoint &point);
-std::string canonicalConfigStringV2(const CampaignSpec &spec,
-                                    const SweepPoint &point);
-std::string canonicalConfigStringV3(const CampaignSpec &spec,
-                                    const SweepPoint &point);
-/** @} */
-
 /** fnv1a64 of canonicalConfigString, as hex64. */
 std::string configHashHex(const CampaignSpec &spec,
                           const SweepPoint &point,

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
 
 #include "captured_stream.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 
 namespace rab
@@ -157,6 +159,51 @@ TEST(Logging, ContextIsPerThread)
     });
     EXPECT_EQ(out, "warn: untagged\nwarn: [worker] tagged\n"
                    "warn: [main] main thread\n");
+}
+
+TEST(ParseNumber, AcceptsWholeValues)
+{
+    EXPECT_EQ(parseNumber<std::uint64_t>("20000"), 20000u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("0"), 0u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(parseNumber<int>("-3"), -3);
+    EXPECT_EQ(parseNumber<double>("0.01"), 0.01);
+    EXPECT_EQ(parseNumber<double>("1e-3"), 1e-3);
+}
+
+TEST(ParseNumber, RejectsTrailingJunk)
+{
+    EXPECT_FALSE(parseNumber<std::uint64_t>("2x0000"));
+    EXPECT_FALSE(parseNumber<std::uint64_t>("12k"));
+    EXPECT_FALSE(parseNumber<int>("4 "));
+    EXPECT_FALSE(parseNumber<double>("0.5%"));
+    EXPECT_FALSE(parseNumber<double>("abc"));
+}
+
+TEST(ParseNumber, RejectsEmpty)
+{
+    EXPECT_FALSE(parseNumber<std::uint64_t>(""));
+    EXPECT_FALSE(parseNumber<int>(""));
+    EXPECT_FALSE(parseNumber<double>(""));
+}
+
+TEST(ParseNumber, SignsFollowTheType)
+{
+    // strtoull would wrap "-1" to 2^64-1; an unsigned value takes no
+    // sign at all, and no type takes a leading '+'.
+    EXPECT_FALSE(parseNumber<std::uint64_t>("-1"));
+    EXPECT_FALSE(parseNumber<std::uint64_t>("+1"));
+    EXPECT_FALSE(parseNumber<int>("+1"));
+    EXPECT_EQ(parseNumber<double>("-0.25"), -0.25);
+}
+
+TEST(ParseNumber, RejectsOverflow)
+{
+    EXPECT_FALSE(parseNumber<std::uint64_t>("18446744073709551616"));
+    EXPECT_FALSE(parseNumber<int>("2147483648"));
+    EXPECT_FALSE(parseNumber<int>("-2147483649"));
+    EXPECT_FALSE(parseNumber<double>("1e999"));
 }
 
 } // namespace

@@ -45,6 +45,19 @@ TEST(ResolveThreads, CliOverridesEnvOverridesHardware)
     ::unsetenv("RAB_THREADS");
 }
 
+TEST(BenchOptions, MalformedEnvFallsBackToDefault)
+{
+    // "12k" is not 12: a value with trailing junk is warned about and
+    // ignored, like any other unparsable value.
+    ::setenv("RAB_INSTRUCTIONS", "12k", 1);
+    ::setenv("RAB_WARMUP", "7", 1);
+    const BenchOptions options = BenchOptions::fromEnv(40'000, 10'000);
+    EXPECT_EQ(options.instructions, 40'000u);
+    EXPECT_EQ(options.warmup, 7u);
+    ::unsetenv("RAB_INSTRUCTIONS");
+    ::unsetenv("RAB_WARMUP");
+}
+
 TEST(Geomean, SpeedupsMatchPaperConvention)
 {
     // GMean of +10% and +10% is +10%.

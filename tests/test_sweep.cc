@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
@@ -56,6 +58,23 @@ TEST(ExpandGrid, DeterministicGridOrder)
     EXPECT_EQ(points[6].workload, "libq");
     for (std::size_t i = 0; i < points.size(); ++i)
         EXPECT_EQ(points[i].index, i);
+}
+
+TEST(ParseLabels, UnknownVariantNamesTheLabel)
+{
+    try {
+        parseVariantLabel("warp-drive");
+        FAIL() << "parseVariantLabel accepted an unknown label";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("warp-drive"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ParseLabels, EmptyMixIsRejected)
+{
+    EXPECT_THROW(parseMixSpec(""), std::runtime_error);
 }
 
 TEST(Campaign, ParallelEqualsSerialByteForByte)
